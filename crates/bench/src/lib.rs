@@ -35,16 +35,15 @@
 //! * `--run-dir PATH` — persist the run (and its telemetry flight
 //!   recorders) into a resumable run directory (single-campaign binaries;
 //!   suite binaries schedule in memory);
-//! * `--executor in-process|process-pool|remote` — the shard transport
-//!   (default `in-process`: a thread pool in this process;
-//!   `process-pool` farms shard segments to out-of-process
-//!   `llm4fp-worker` daemons over pipes; `remote` serves the same
-//!   workers over a TCP socket with leases, heartbeats and
-//!   reconnect-and-resume — results are bit-identical across all
-//!   three);
-//! * `--worker-procs N` — worker daemon count for `--executor
-//!   process-pool` and `--executor remote` (default: available
-//!   parallelism);
+//! * `--executor in-process|remote` — the shard transport (default
+//!   `in-process`: a thread pool in this process; `remote` farms shard
+//!   segments to out-of-process `llm4fp-worker` daemons over a TCP
+//!   socket, with leases, heartbeats, reconnect-and-resume and respawn
+//!   of the workers it spawned — results are bit-identical across
+//!   both; `process-pool` is accepted as another name for `remote`);
+//! * `--worker-procs N` — worker daemon count for `--executor remote`
+//!   (default: available parallelism; never more than the run has
+//!   shards);
 //! * `--listen ADDR` (alias `--workers-addr ADDR`) — bind the
 //!   `--executor remote` coordinator to this address (default
 //!   `127.0.0.1:0`, an ephemeral loopback port for self-spawned
@@ -53,25 +52,26 @@
 //! * `--no-spawn-workers` — don't self-spawn loopback workers for
 //!   `--executor remote`; the run waits for external
 //!   `llm4fp-worker --connect` daemons to dial `--listen`;
-//! * `--max-frame-len BYTES` — cap on one wire frame's payload for the
-//!   out-of-process transports (default 256 MiB; `0` is rejected);
+//! * `--max-frame-len BYTES` — cap on one wire frame's payload for
+//!   `--executor remote` (default 256 MiB; `0` is rejected);
 //! * `--trace` — record span events; with `--run-dir` a Chrome
 //!   `trace_event`-compatible `trace.jsonl` is written (implies metrics);
 //! * `--no-metrics` — disable telemetry counters/histograms entirely
 //!   (they are on by default for experiment runs; campaign results are
 //!   bit-identical either way);
 //! * `--max-dispatch-attempts N` — per-shard-job dispatch budget for
-//!   `--executor process-pool` (default 3; crashes and timeouts consume
-//!   attempts, results stay bit-identical across redispatch);
-//! * `--shard-timeout-ms N` — straggler/stall timeout per shard job
-//!   (`--executor process-pool`'s kill deadline; `--executor remote`'s
-//!   dispatch lease — the remote analogue of the same bound);
+//!   `--executor remote` (default 3; crashes, dropped connections and
+//!   expired leases consume attempts, results stay bit-identical across
+//!   redispatch);
+//! * `--shard-timeout-ms N` — the dispatch lease of `--executor remote`:
+//!   a job unanswered this long re-dispatches, and a self-spawned worker
+//!   silent for one more such window is killed and respawned;
 //! * `--on-shard-failure abort|quarantine` — what happens when a shard
 //!   job exhausts its dispatch budget (default `abort`; `quarantine`
 //!   completes the surviving shards and reports the casualties in the
 //!   run stats);
 //! * `--fallback-in-process` — degrade to the in-process executor (same
-//!   results) when the process-pool transport cannot spawn workers;
+//!   results) when `--executor remote` cannot spawn or reach any worker;
 //! * `--fault-plan PATH` — chaos testing: load a JSON
 //!   `llm4fp_orchestrator::FaultPlan` and inject its worker/persistence
 //!   faults into the run (deterministic supervision means an abort-mode
@@ -89,7 +89,7 @@ use llm4fp::{
 };
 use llm4fp_orchestrator::{
     default_workers, FailurePolicy, FaultPlan, OrchestratedResult, Orchestrator,
-    OrchestratorOptions, ProcessPoolExecutor, RemoteWorkerExecutor, Scheduler, ShardExecutor,
+    OrchestratorOptions, RemoteWorkerExecutor, Scheduler, ShardExecutor,
 };
 use llm4fp_telemetry::TelemetrySpec;
 
@@ -109,12 +109,10 @@ pub enum CliExecutor {
     /// A thread pool inside this process (the default).
     #[default]
     InProcess,
-    /// Out-of-process `llm4fp-worker` daemons (`llm4fp-orchestrator`'s
-    /// process-pool transport). Results are bit-identical to in-process.
-    ProcessPool,
-    /// The same workers dialing a TCP coordinator
-    /// (`llm4fp-orchestrator`'s socket transport: leases, heartbeats,
-    /// reconnect-and-resume). Results are bit-identical to in-process.
+    /// Out-of-process `llm4fp-worker` daemons dialing a TCP coordinator
+    /// (`llm4fp-orchestrator`'s remote transport: leases, heartbeats,
+    /// reconnect-and-resume, respawn). Results are bit-identical to
+    /// in-process.
     Remote,
 }
 
@@ -144,10 +142,10 @@ pub struct ExpOptions {
     /// Persist single-campaign runs into this directory (`--run-dir`),
     /// including the `metrics.json`/`trace.jsonl` flight recorders.
     pub run_dir: Option<PathBuf>,
-    /// The shard transport (`--executor in-process|process-pool|remote`).
+    /// The shard transport (`--executor in-process|remote`).
     pub executor: CliExecutor,
-    /// Worker daemon count for `--executor process-pool` / `remote`
-    /// (`--worker-procs`; 0 = available parallelism).
+    /// Worker daemon count for `--executor remote` (`--worker-procs`;
+    /// 0 = available parallelism).
     pub worker_procs: usize,
     /// Bind address for the `--executor remote` coordinator (`--listen`
     /// / `--workers-addr`; `None` = `127.0.0.1:0`).
@@ -156,14 +154,14 @@ pub struct ExpOptions {
     /// wait for external workers instead of self-spawning loopback
     /// daemons.
     pub spawn_workers: bool,
-    /// Wire-frame payload cap for the out-of-process transports
+    /// Wire-frame payload cap for `--executor remote`
     /// (`--max-frame-len`; 0 = transport default of 256 MiB).
     pub max_frame_len: usize,
-    /// Dispatch budget per shard job for `--executor process-pool`
+    /// Dispatch budget per shard job for `--executor remote`
     /// (`--max-dispatch-attempts`; 0 = transport default).
     pub max_dispatch_attempts: u8,
-    /// Straggler/stall timeout per shard job for `--executor
-    /// process-pool` (`--shard-timeout-ms`; 0 = transport default).
+    /// Dispatch lease per shard job for `--executor remote`
+    /// (`--shard-timeout-ms`; 0 = transport default).
     pub shard_timeout_ms: u64,
     /// What to do when a shard job exhausts its dispatch budget
     /// (`--on-shard-failure abort|quarantine`).
@@ -172,8 +170,8 @@ pub struct ExpOptions {
     /// workers cannot be spawned (`--fallback-in-process`).
     pub fallback_in_process: bool,
     /// Deterministic chaos-testing plan loaded from `--fault-plan PATH`:
-    /// worker faults ship to the process-pool transport, persistence
-    /// faults to the run directory.
+    /// worker and network faults ship to the remote transport,
+    /// persistence faults to the run directory.
     pub fault_plan: Option<FaultPlan>,
 }
 
@@ -256,8 +254,7 @@ impl ExpOptions {
                     let v = iter.next().ok_or("--executor needs a value")?;
                     opts.executor = match v.as_str() {
                         "in-process" => CliExecutor::InProcess,
-                        "process-pool" => CliExecutor::ProcessPool,
-                        "remote" => CliExecutor::Remote,
+                        "remote" | "process-pool" => CliExecutor::Remote,
                         other => return Err(format!("invalid --executor `{other}`")),
                     };
                 }
@@ -324,7 +321,7 @@ impl ExpOptions {
                          [--shards K] [--epochs E] [--workers W] \
                          [--backend virtual|extcc] [--process-slots P] [--no-seal-opt] \
                          [--run-dir PATH] [--trace] [--no-metrics] \
-                         [--executor in-process|process-pool|remote] [--worker-procs N] \
+                         [--executor in-process|remote] [--worker-procs N] \
                          [--listen ADDR] [--no-spawn-workers] [--max-frame-len BYTES] \
                          [--max-dispatch-attempts N] [--shard-timeout-ms N] \
                          [--on-shard-failure abort|quarantine] [--fallback-in-process] \
@@ -452,34 +449,13 @@ impl ExpOptions {
     }
 
     /// The shard transport these options select, or `None` for the
-    /// orchestrator's in-process default. The out-of-process transports
-    /// pick up the supervision knobs (`--max-dispatch-attempts`,
-    /// `--shard-timeout-ms`, `--on-shard-failure`, `--max-frame-len`)
-    /// and the worker half of any `--fault-plan`; `--shard-timeout-ms`
-    /// doubles as the remote transport's dispatch lease.
+    /// orchestrator's in-process default. The remote transport picks up
+    /// the supervision knobs (`--max-dispatch-attempts`,
+    /// `--shard-timeout-ms` as its dispatch lease, `--on-shard-failure`,
+    /// `--max-frame-len`) and the worker half of any `--fault-plan`.
     pub fn shard_executor(&self) -> Option<Arc<dyn ShardExecutor>> {
         match self.executor {
             CliExecutor::InProcess => None,
-            CliExecutor::ProcessPool => {
-                let procs =
-                    if self.worker_procs == 0 { default_workers() } else { self.worker_procs };
-                let mut executor =
-                    ProcessPoolExecutor::new(procs).on_shard_failure(self.on_shard_failure);
-                if self.max_dispatch_attempts != 0 {
-                    executor = executor.max_dispatch_attempts(self.max_dispatch_attempts);
-                }
-                if self.shard_timeout_ms != 0 {
-                    executor =
-                        executor.with_shard_timeout(Duration::from_millis(self.shard_timeout_ms));
-                }
-                if self.max_frame_len != 0 {
-                    executor = executor.with_max_frame_len(self.max_frame_len);
-                }
-                if let Some(plan) = &self.fault_plan {
-                    executor = executor.with_fault_plan(plan.clone());
-                }
-                Some(Arc::new(executor))
-            }
             CliExecutor::Remote => {
                 let procs = if !self.spawn_workers {
                     0
@@ -680,7 +656,7 @@ mod tests {
                 metrics: true,
                 trace: true,
                 run_dir: Some(PathBuf::from("/tmp/llm4fp-run")),
-                executor: CliExecutor::ProcessPool,
+                executor: CliExecutor::Remote,
                 worker_procs: 6,
                 max_dispatch_attempts: 5,
                 shard_timeout_ms: 2500,
@@ -696,7 +672,7 @@ mod tests {
         assert!(options.fallback_to_in_process);
         assert_eq!(options.persist_faults, expected_plan.persist);
         assert_eq!(opts.telemetry_spec(), TelemetrySpec::TRACE);
-        assert!(opts.shard_executor().is_some(), "process-pool selects an executor");
+        assert!(opts.shard_executor().is_some(), "process-pool selects the remote executor");
         assert!(ExpOptions::default().shard_executor().is_none(), "in-process is the default");
         let remote = ExpOptions::parse(
             ["--executor", "remote", "--workers-addr", "127.0.0.1:0"].map(String::from),

@@ -1,26 +1,25 @@
 //! The out-of-process shard worker daemon.
 //!
-//! Spawned by [`llm4fp_orchestrator::ProcessPoolExecutor`], one daemon
-//! per worker slot — or dialing a
-//! [`llm4fp_orchestrator::RemoteWorkerExecutor`] coordinator over TCP
-//! with `--connect HOST:PORT`. The protocol is identical on both
-//! transports: a loop of length-prefixed JSON frames (see
-//! [`llm4fp_orchestrator::wire`]), opened by a **versioned handshake**
-//! (the worker sends `WireReply::Hello` first; the coordinator accepts
-//! with `WireRequest::Hello` or refuses in words). Each
-//! [`WireRequest::Job`] restores (or freshly creates) a shard runner
+//! `llm4fp-worker --connect HOST:PORT` dials a
+//! [`llm4fp_orchestrator::RemoteWorkerExecutor`] coordinator over TCP —
+//! spawned by the coordinator itself on loopback, or started by hand on
+//! another machine. The stream is a loop of length-prefixed JSON frames
+//! (see [`llm4fp_orchestrator::wire`]), opened by a **versioned
+//! handshake** (the worker sends `WireReply::Hello` first; the
+//! coordinator accepts with `WireRequest::Hello` or refuses in words).
+//! Each [`WireRequest::Job`] restores (or freshly creates) a shard runner
 //! from the job's checkpoint, runs one segment, and answers with the
-//! updated checkpoint — or, on `finish`, the shard's final output. EOF
-//! on stdin or a [`WireRequest::Shutdown`] frame exits cleanly; idle
+//! updated checkpoint — or, on `finish`, the shard's final output. A
+//! [`WireRequest::Shutdown`] frame exits cleanly; idle
 //! [`WireRequest::Ping`]s are answered with `Pong`.
 //!
 //! The daemon holds **no state between jobs** — any job can be replayed
 //! on any worker with byte-identical results, which is what makes the
 //! coordinator's crash-redispatch, straggler duplication, and
-//! reconnect-and-resume sound. In `--connect` mode a dropped connection
-//! is redialed up to `--reconnect` times (spaced by
-//! `--reconnect-delay-ms`), and the same retry budget covers dialing a
-//! coordinator that has not bound its socket yet.
+//! reconnect-and-resume sound. A dropped connection is redialed up to
+//! `--reconnect` times (spaced by `--reconnect-delay-ms`), and the same
+//! retry budget covers dialing a coordinator that has not bound its
+//! socket yet.
 //!
 //! Deterministic fault injection: the coordinator ships this spawn's
 //! effective fault set ([`WorkerFault`](llm4fp_orchestrator::WorkerFault)
@@ -38,9 +37,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use llm4fp_difftest::ProcessBudget;
-use llm4fp_orchestrator::faults::{
-    FrameSabotage, WorkerFaultHarness, EXIT_DROPPED_CONN, EXIT_SABOTAGED_ANSWER,
-};
+use llm4fp_orchestrator::faults::{FrameSabotage, WorkerFaultHarness, EXIT_SABOTAGED_ANSWER};
 use llm4fp_orchestrator::wire::{
     self, Hello, ShardJob, ShardJobResult, WireReply, WireRequest, MAX_FRAME_LEN,
 };
@@ -85,26 +82,31 @@ fn sabotage_answer(writer: &mut impl Write, result: &WireReply, how: FrameSabota
     match how {
         FrameSabotage::Corrupt => {
             let _ = writer.write_all(b"!corrupt!!\n{\"not\":\"a frame\"}");
+            let _ = writer.flush();
         }
-        FrameSabotage::Truncate => {
-            let payload = serde_json::to_string(result).expect("job results always serialize");
-            let bytes = payload.as_bytes();
-            let _ = writer.write_all(format!("{:010}\n", bytes.len()).as_bytes());
-            let _ = writer.write_all(&bytes[..bytes.len() / 2]);
-        }
+        FrameSabotage::Truncate => write_half_frame(writer, result),
     }
-    let _ = writer.flush();
     std::process::exit(EXIT_SABOTAGED_ANSWER);
+}
+
+/// Write a header promising `answer`'s full payload, then only half of
+/// it: the coordinator sees a mid-frame EOF once the stream closes.
+fn write_half_frame(writer: &mut impl Write, answer: &WireReply) {
+    let payload = serde_json::to_string(answer).expect("job results always serialize");
+    let bytes = payload.as_bytes();
+    let _ = writer.write_all(format!("{:010}\n", bytes.len()).as_bytes());
+    let _ = writer.write_all(&bytes[..bytes.len() / 2]);
+    let _ = writer.flush();
 }
 
 /// How one stream's service ended.
 enum ServeEnd {
     /// The coordinator sent `Shutdown` — exit, never reconnect.
     Shutdown,
-    /// Clean EOF from the peer (pipe closed / socket shut down).
+    /// Clean EOF from the peer (socket shut down).
     Eof,
-    /// An injected fault closed the connection (the process survives and,
-    /// in `--connect` mode, reconnects).
+    /// An injected fault closed the connection (the process survives and
+    /// reconnects).
     Dropped,
     /// The coordinator refused the handshake (and said why).
     Refused(String),
@@ -176,13 +178,8 @@ fn serve<R: Read, W: Write>(
             std::thread::sleep(delay);
         }
         if sabotage.truncate_stream {
-            // Half a frame, then the stream tears: the coordinator sees
-            // a malformed frame / mid-frame EOF.
-            let payload = serde_json::to_string(&answer).expect("job results always serialize");
-            let bytes = payload.as_bytes();
-            let _ = writer.write_all(format!("{:010}\n", bytes.len()).as_bytes());
-            let _ = writer.write_all(&bytes[..bytes.len() / 2]);
-            let _ = writer.flush();
+            // Half a frame, then the stream tears (the process survives).
+            write_half_frame(writer, &answer);
             return ServeEnd::Dropped;
         }
         let copies = if sabotage.duplicate { 2 } else { 1 };
@@ -195,8 +192,8 @@ fn serve<R: Read, W: Write>(
 }
 
 struct WorkerArgs {
-    /// Dial this coordinator address instead of serving stdin/stdout.
-    connect: Option<String>,
+    /// The coordinator address to dial.
+    connect: String,
     /// How many times to redial after a lost connection (or failed dial).
     reconnect: u32,
     /// Delay between redials.
@@ -206,14 +203,15 @@ struct WorkerArgs {
 }
 
 fn parse_args() -> WorkerArgs {
+    let mut connect = None;
     let mut args = WorkerArgs {
-        connect: None,
+        connect: String::new(),
         reconnect: 16,
         reconnect_delay: Duration::from_millis(100),
         max_frame_len: MAX_FRAME_LEN,
     };
     let mut argv = std::env::args().skip(1);
-    let usage = "usage: llm4fp-worker [--connect HOST:PORT] [--reconnect N] \
+    let usage = "usage: llm4fp-worker --connect HOST:PORT [--reconnect N] \
                  [--reconnect-delay-ms MS] [--max-frame-len BYTES]";
     let value = |argv: &mut dyn Iterator<Item = String>, flag: &str| -> String {
         argv.next().unwrap_or_else(|| {
@@ -223,7 +221,7 @@ fn parse_args() -> WorkerArgs {
     };
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--connect" => args.connect = Some(value(&mut argv, "--connect")),
+            "--connect" => connect = Some(value(&mut argv, "--connect")),
             "--reconnect" => {
                 args.reconnect = value(&mut argv, "--reconnect").parse().unwrap_or_else(|_| {
                     eprintln!("llm4fp-worker: --reconnect needs a number\n{usage}");
@@ -255,15 +253,19 @@ fn parse_args() -> WorkerArgs {
             }
         }
     }
+    args.connect = connect.unwrap_or_else(|| {
+        eprintln!("llm4fp-worker: --connect is required\n{usage}");
+        std::process::exit(2);
+    });
     args
 }
 
-/// `--connect` mode: dial the coordinator, serve the stream, and redial
-/// (within the `--reconnect` budget) after anything but a `Shutdown` —
-/// lost connections *and* refused handshakes both retry, because the
+/// Dial the coordinator, serve the stream, and redial (within the
+/// `--reconnect` budget) after anything but a `Shutdown` — lost
+/// connections *and* refused handshakes both retry, because the
 /// coordinator's `RefuseHandshake` chaos fault heals on the next dial.
 fn serve_socket(args: &WorkerArgs, harness: &mut WorkerFaultHarness) -> ! {
-    let addr = args.connect.as_deref().expect("connect mode");
+    let addr = args.connect.as_str();
     let mut redials_left = args.reconnect;
     let fail = |redials_left: &mut u32, what: String| {
         if *redials_left == 0 {
@@ -306,27 +308,5 @@ fn serve_socket(args: &WorkerArgs, harness: &mut WorkerFaultHarness) -> ! {
 
 fn main() {
     let args = parse_args();
-    let mut harness = WorkerFaultHarness::from_env();
-    if args.connect.is_some() {
-        serve_socket(&args, &mut harness);
-    }
-    let stdin = io::stdin();
-    let stdout = io::stdout();
-    let mut reader = stdin.lock();
-    let mut writer = stdout.lock();
-    match serve(&mut reader, &mut writer, &mut harness, args.max_frame_len) {
-        // Coordinator closed our stdin or asked us to exit: clean.
-        ServeEnd::Shutdown | ServeEnd::Eof => {}
-        // Over pipes, dropping the connection and dying are the same.
-        ServeEnd::Dropped => std::process::exit(EXIT_DROPPED_CONN),
-        ServeEnd::Refused(reason) => {
-            eprintln!("llm4fp-worker: handshake refused: {reason}");
-            std::process::exit(2);
-        }
-        ServeEnd::Error(e) => {
-            eprintln!("llm4fp-worker: protocol error: {e}");
-            std::process::exit(2);
-        }
-    }
-    let _ = writer.flush();
+    serve_socket(&args, &mut WorkerFaultHarness::from_env());
 }

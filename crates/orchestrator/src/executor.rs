@@ -19,19 +19,17 @@
 //! Everything a transport needs to run one shard is a serializable
 //! [`ShardTask`]; everything it produces is the serializable
 //! [`crate::ShardOutput`] — the same contract the JSONL run directory
-//! already persists, promoted to a wire contract. Three implementations
+//! already persists, promoted to a wire contract. Two implementations
 //! share all merge/barrier logic in the coordinator:
 //!
 //! * [`InProcessExecutor`] — shard runners on a worker-thread pool inside
 //!   this process (the classic engine, bit-identical to the pre-executor
 //!   code path);
-//! * [`crate::ProcessPoolExecutor`] — `llm4fp-worker` daemon processes fed
-//!   length-prefixed JSON jobs over stdin/stdout (see [`crate::wire`]),
-//!   with per-shard timeouts, crash-and-redispatch and straggler
-//!   re-dispatch at epoch barriers;
-//! * [`crate::RemoteWorkerExecutor`] — the same worker binary dialing a
-//!   TCP coordinator (`llm4fp-worker --connect`), supervised by leases,
-//!   heartbeats and reconnect-and-resume (see [`crate::remote`]).
+//! * [`crate::RemoteWorkerExecutor`] — `llm4fp-worker` daemon processes
+//!   dialing a TCP coordinator (`llm4fp-worker --connect`) and fed
+//!   length-prefixed JSON jobs (see [`crate::wire`]), supervised by
+//!   leases, heartbeats, reconnect-and-resume, straggler re-dispatch and
+//!   respawn of the workers it spawned (see [`crate::remote`]).
 //!
 //! Determinism is preserved across transports because a shard segment is
 //! a pure function of `(config, spec, checkpoint, segment length)`:
@@ -117,7 +115,7 @@ impl From<PersistError> for OrchestratorError {
 
 /// What a supervising transport does when one shard exhausts its dispatch
 /// budget (see
-/// [`ProcessPoolExecutor::on_shard_failure`](crate::ProcessPoolExecutor::on_shard_failure)).
+/// [`RemoteWorkerExecutor::on_shard_failure`](crate::RemoteWorkerExecutor::on_shard_failure)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FailurePolicy {
     /// Fail the whole run (the default). The only policy that preserves
@@ -202,7 +200,7 @@ impl RecordSink for NullSink {
 /// returned by [`ShardExecutor::begin`].
 pub trait ShardExecutor: Send + Sync + fmt::Debug {
     /// Short stable name for logs and CLIs (`"in-process"`,
-    /// `"process-pool"`).
+    /// `"remote"`).
     fn name(&self) -> &'static str;
 
     /// Whether the shared [`ShardTask::cache`] handles are actually

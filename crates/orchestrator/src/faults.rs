@@ -6,10 +6,10 @@
 //! external-compiler spawn errors, and torn run-dir writes. The plan is
 //! threaded through the whole stack —
 //!
-//! * the coordinator ([`crate::ProcessPoolExecutor::with_fault_plan`])
+//! * the coordinator ([`crate::RemoteWorkerExecutor::with_fault_plan`])
 //!   ships each spawn's effective worker faults to the daemon as JSON in
-//!   the [`FAULT_PLAN_ENV`] environment variable and injects respawn
-//!   failures into its own spawn path;
+//!   the [`FAULT_PLAN_ENV`] environment variable, injects respawn
+//!   failures into its own spawn path, and refuses handshakes;
 //! * the `llm4fp-worker` daemon applies them via [`WorkerFaultHarness`];
 //! * the persistence layer ([`crate::Orchestrator::persist_faults`])
 //!   applies [`PersistFault`]s to run-dir writes.
@@ -34,8 +34,7 @@ use std::time::Duration;
 use serde::{Deserialize, Error, Serialize, Value};
 
 /// Environment variable carrying a JSON [`WorkerFaultSet`] to a worker
-/// daemon (set by the coordinator per spawn; absent = no faults). For
-/// backward compatibility a bare JSON `Vec<WorkerFault>` still parses.
+/// daemon (set by the coordinator per spawn; absent = no faults).
 pub const FAULT_PLAN_ENV: &str = "LLM4FP_FAULT_PLAN";
 
 /// Exit code a worker uses for an injected crash.
@@ -45,10 +44,6 @@ pub const EXIT_EXTCC_SPAWN: i32 = 102;
 /// Exit code a worker uses after deliberately sabotaging an answer frame
 /// (the stream is unusable afterwards, so the daemon does not linger).
 pub const EXIT_SABOTAGED_ANSWER: i32 = 103;
-/// Exit code a *pipe-mode* worker uses for an injected connection drop
-/// (over pipes, dropping the connection and dying are the same thing; a
-/// socket-mode worker closes the stream and reconnects instead).
-pub const EXIT_DROPPED_CONN: i32 = 104;
 
 /// One injected worker-daemon failure. Job ordinals count the jobs *this
 /// daemon process* received, starting at 1 — a respawned daemon starts
@@ -65,7 +60,7 @@ pub enum WorkerFault {
     /// respawns and exhausts the dispatch budget).
     CrashOnShard(usize),
     /// Sleep this long before every answer (a straggler/hang for the
-    /// shard-timeout kill path).
+    /// lease-expiry kill path).
     StallMs(u64),
     /// Answer the n-th job with garbage bytes instead of a frame (the
     /// coordinator sees a malformed-frame error, not a clean result).
@@ -79,7 +74,7 @@ pub enum WorkerFault {
     ExtccSpawnError,
 }
 
-/// One injected *network* failure for the socket transport. Worker-side
+/// One injected *network* failure. Worker-side
 /// variants ship (like [`WorkerFault`]s) to the **first worker
 /// connection's process** only, so a chaos run breaks in exactly one
 /// deterministic place and the supervisor's recovery — lease expiry,
@@ -148,17 +143,20 @@ pub struct FaultPlan {
     pub network: Vec<NetworkFault>,
 }
 
+/// An object field that may be missing or null: its default then (the
+/// vendored serde shim has no `#[serde(default)]`).
+fn field<T: Deserialize + Default>(m: &serde::Map, name: &str) -> Result<T, Error> {
+    match m.get(name) {
+        None | Some(Value::Null) => Ok(T::default()),
+        Some(v) => T::from_value(v),
+    }
+}
+
 /// Missing fields deserialize as their defaults so partial JSON plan
-/// files stay valid (the vendored serde shim has no `#[serde(default)]`).
+/// files stay valid.
 impl Deserialize for FaultPlan {
     fn from_value(v: &Value) -> Result<Self, Error> {
         let m = v.as_obj().ok_or_else(|| Error::msg("expected object for FaultPlan"))?;
-        fn field<T: Deserialize + Default>(m: &serde::Map, name: &str) -> Result<T, Error> {
-            match m.get(name) {
-                None | Some(Value::Null) => Ok(T::default()),
-                Some(v) => T::from_value(v),
-            }
-        }
         Ok(FaultPlan {
             first_worker: field(m, "first_worker")?,
             every_worker: field(m, "every_worker")?,
@@ -233,8 +231,7 @@ impl FaultPlan {
 
 /// The per-spawn fault payload shipped to a worker via
 /// [`FAULT_PLAN_ENV`]: the process faults plus the worker-side network
-/// faults. (The worker also accepts a bare `Vec<WorkerFault>`, the
-/// pre-network payload shape.)
+/// faults.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
 pub struct WorkerFaultSet {
     /// Process-level faults (crash, stall, frame sabotage).
@@ -247,12 +244,6 @@ pub struct WorkerFaultSet {
 impl Deserialize for WorkerFaultSet {
     fn from_value(v: &Value) -> Result<Self, Error> {
         let m = v.as_obj().ok_or_else(|| Error::msg("expected object for WorkerFaultSet"))?;
-        fn field<T: Deserialize + Default>(m: &serde::Map, name: &str) -> Result<T, Error> {
-            match m.get(name) {
-                None | Some(Value::Null) => Ok(T::default()),
-                Some(v) => T::from_value(v),
-            }
-        }
         Ok(WorkerFaultSet { worker: field(m, "worker")?, network: field(m, "network")? })
     }
 }
@@ -270,9 +261,8 @@ pub struct JobSabotage {
     pub stall: Option<Duration>,
     /// Sabotage the answer frame instead of writing it properly.
     pub answer: Option<FrameSabotage>,
-    /// Close the connection without answering ([`NetworkFault::
-    /// DropConnAtJob`]); over pipes this exits with
-    /// [`EXIT_DROPPED_CONN`], over sockets the process reconnects.
+    /// Close the connection without answering
+    /// ([`NetworkFault::DropConnAtJob`]); the process reconnects.
     pub drop_conn: bool,
     /// Sleep this long *after* computing, before writing the answer
     /// frame ([`NetworkFault::DelayFrameMs`]).
@@ -311,15 +301,11 @@ impl WorkerFaultHarness {
     /// fault plan was malformed — that would fault the *coordinator's*
     /// contract, not the planned failpoint).
     pub fn from_env() -> Self {
-        let Ok(text) = std::env::var(FAULT_PLAN_ENV) else {
-            return WorkerFaultHarness::default();
-        };
-        if let Ok(set) = serde_json::from_str::<WorkerFaultSet>(&text) {
-            return WorkerFaultHarness { faults: set.worker, network: set.network, handled: 0 };
-        }
-        // Pre-network payload shape: a bare worker-fault list.
-        let faults = serde_json::from_str(&text).unwrap_or_default();
-        WorkerFaultHarness { faults, network: Vec::new(), handled: 0 }
+        let set: WorkerFaultSet = std::env::var(FAULT_PLAN_ENV)
+            .ok()
+            .and_then(|text| serde_json::from_str(&text).ok())
+            .unwrap_or_default();
+        WorkerFaultHarness { faults: set.worker, network: set.network, handled: 0 }
     }
 
     /// A harness over an explicit fault list (tests).
@@ -531,8 +517,8 @@ mod tests {
         assert_eq!(second.delay, Some(Duration::from_millis(30)));
         let third = h.on_job(0, false);
         assert!(third.truncate_stream && !third.duplicate);
-        // The legacy bare-list payload still parses (round-trip through
-        // the set shape is covered by worker_env tests above).
+        // A set payload with an empty network list parses (round trips
+        // through `worker_env` are covered above).
         let legacy: WorkerFaultSet =
             serde_json::from_str(r#"{"worker": [{"CrashAtJob": 1}], "network": []}"#).unwrap();
         assert_eq!(legacy.worker, vec![WorkerFault::CrashAtJob(1)]);

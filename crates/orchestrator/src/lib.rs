@@ -12,17 +12,16 @@
 //!                  plan_shards(config, K)
 //!                          |
 //!      +------- K shards, seed S ^ mix(k) -------+
-//!      |                   |                      |
-//!      |        ShardExecutor::begin(tasks, sink) |
-//!      |                   |                      |
-//!      |   InProcessExecutor  ProcessPoolExecutor  RemoteWorkerExecutor
-//!      |   (thread pool +     (llm4fp-worker        (llm4fp-worker
-//!      |    shared cache)      daemons over pipes,   --connect over TCP,
-//!      |                       crash/straggler       leases + heartbeats +
-//!      |                       redispatch)           reconnect-and-resume)
-//!      |                   |                      |
-//!   ShardOutput       ShardOutput            ShardOutput   --> JSONL run dir
-//!      +---------------- merge (shard order) ----------------+  (optional)
+//!      |                                          |
+//!      |    ShardExecutor::begin(tasks, sink)     |
+//!      |                                          |
+//!      |   InProcessExecutor      RemoteWorkerExecutor
+//!      |   (thread pool +         (llm4fp-worker --connect over TCP,
+//!      |    shared cache)          leases + heartbeats + reconnect,
+//!      |                           self-spawned workers respawned)
+//!      |                                          |
+//!   ShardOutput                         ShardOutput   --> JSONL run dir
+//!      +---------- merge (shard order) -----------+       (optional)
 //!                          |
 //!                   CampaignResult
 //! ```
@@ -63,17 +62,15 @@
 //!   epoch-barrier checkpoints), telemetry, and the transport;
 //! * [`executor`] — the transport seam: [`ShardExecutor`] /
 //!   [`ShardSession`] and the in-process implementation;
-//! * [`process_pool`] — the out-of-process transport
-//!   ([`ProcessPoolExecutor`]) farming [`wire`] jobs to `llm4fp-worker`
-//!   daemons with per-shard timeouts, crash-and-redispatch and straggler
-//!   re-dispatch;
-//! * [`remote`] — the socket transport ([`RemoteWorkerExecutor`]):
-//!   workers dial a TCP coordinator (`llm4fp-worker --connect`) behind a
-//!   versioned handshake, supervised by deadline leases, idle heartbeats
-//!   and reconnect-and-resume;
-//! * [`supervisor`] — the transport-shared supervision core: lease-based
-//!   dispatch ledgers ([`supervisor::EpochState`]) and the session half
-//!   both pool transports fold epochs through
+//! * [`remote`] — the out-of-process transport
+//!   ([`RemoteWorkerExecutor`]): workers dial a TCP coordinator
+//!   (`llm4fp-worker --connect`) behind a versioned handshake and receive
+//!   [`wire`] jobs, supervised by deadline leases, idle heartbeats,
+//!   reconnect-and-resume, straggler re-dispatch, and respawn of the
+//!   worker processes the coordinator spawned itself;
+//! * [`supervisor`] — the transport-independent supervision core:
+//!   lease-based dispatch ledgers ([`supervisor::EpochState`]) and the
+//!   session half the transport folds epochs through
 //!   ([`supervisor::SessionCore`]);
 //! * [`Scheduler`] — multi-campaign suites (all four Table 2 approaches)
 //!   over one shared worker budget, with per-campaign exchange;
@@ -90,7 +87,7 @@
 //!   socket transport (dropped connections, delayed/duplicated/torn
 //!   result frames, refused handshakes).
 //!
-//! **Failure model.** Supervision is configurable per transport: a job
+//! **Failure model.** Supervision is configurable on the executor: a job
 //! that exhausts its dispatch budget either aborts the run (default —
 //! determinism preserved, error surfaced) or is *quarantined*
 //! ([`FailurePolicy::Quarantine`]) so the campaign completes on the
@@ -116,7 +113,6 @@ pub mod faults;
 pub mod orchestrate;
 pub mod persist;
 pub mod pool;
-pub mod process_pool;
 pub mod remote;
 pub mod scheduler;
 pub mod shard;
@@ -135,7 +131,6 @@ pub use orchestrate::{
     RunStats,
 };
 pub use persist::{Artifact, PersistError, RunDir, RunManifest, MANIFEST_SCHEMA};
-pub use process_pool::ProcessPoolExecutor;
 pub use remote::RemoteWorkerExecutor;
 pub use scheduler::Scheduler;
 pub use shard::{

@@ -11,7 +11,7 @@
 //! let outcome = Orchestrator::new(config)
 //!     .shards(4)
 //!     .epochs(2)
-//!     .executor(Arc::new(ProcessPoolExecutor::new(4)))
+//!     .executor(Arc::new(RemoteWorkerExecutor::new(4)))
 //!     .run()?;
 //! ```
 //!
@@ -328,7 +328,7 @@ impl Orchestrator {
 
     /// Arm deterministic persistence faults for chaos testing (see
     /// [`PersistFault`] — worker faults are armed on the executor via
-    /// [`crate::ProcessPoolExecutor::with_fault_plan`]).
+    /// [`crate::RemoteWorkerExecutor::with_fault_plan`]).
     pub fn persist_faults(mut self, faults: Vec<PersistFault>) -> Self {
         self.options.persist_faults = faults;
         self
@@ -460,37 +460,6 @@ impl Orchestrator {
             .epochs(manifest.epochs)
             .run_dir(root)
             .run()
-    }
-
-    /// Deprecated convenience entry point: run `config` split into
-    /// `shards` shards with default options, returning just the campaign
-    /// result.
-    #[deprecated(since = "0.3.0", note = "use `Orchestrator::new(config).shards(k).run()`")]
-    pub fn run_sharded(config: &CampaignConfig, shards: usize) -> CampaignResult {
-        Orchestrator::new(config.clone())
-            .shards(shards)
-            .run()
-            .expect("in-memory orchestrated run cannot fail")
-            .result
-    }
-
-    /// Deprecated convenience entry point: like `run_sharded`, with
-    /// `epochs` cross-shard feedback-exchange epochs.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `Orchestrator::new(config).shards(k).epochs(e).run()`"
-    )]
-    pub fn run_sharded_epochs(
-        config: &CampaignConfig,
-        shards: usize,
-        epochs: usize,
-    ) -> CampaignResult {
-        Orchestrator::new(config.clone())
-            .shards(shards)
-            .epochs(epochs)
-            .run()
-            .expect("in-memory orchestrated run cannot fail")
-            .result
     }
 }
 

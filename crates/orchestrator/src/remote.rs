@@ -1,15 +1,17 @@
-//! The socket transport: `llm4fp-worker --connect` daemons supervised
-//! over TCP by leases, heartbeats and reconnect-and-resume.
+//! The out-of-process transport: `llm4fp-worker --connect` daemons
+//! supervised over TCP by leases, heartbeats and reconnect-and-resume,
+//! with the worker processes the coordinator spawned itself replaced
+//! when they die or go silent.
 //!
-//! [`RemoteWorkerExecutor`] implements [`ShardExecutor`] with the same
-//! wire vocabulary as the pipe transport ([`crate::wire`]) served over a
-//! TCP socket: the coordinator binds a listener, workers dial in, each
-//! stream opens with the versioned handshake (worker
-//! [`WireReply::Hello`] first, coordinator [`WireRequest::Hello`] or a
-//! typed [`WireRequest::Refuse`]), and then jobs flow exactly as over
-//! pipes. In CI and tests the socket is loopback with self-spawned
-//! workers; the same executor accepts external workers dialing from
-//! anywhere (`worker_procs = 0` spawns nothing and waits).
+//! [`RemoteWorkerExecutor`] implements [`ShardExecutor`] over the
+//! [`crate::wire`] vocabulary served on a TCP socket: the coordinator
+//! binds a listener, workers dial in, each stream opens with the
+//! versioned handshake (worker [`WireReply::Hello`] first, coordinator
+//! [`WireRequest::Hello`] or a typed [`WireRequest::Refuse`]), and then
+//! jobs flow one at a time per connection. By default the socket is
+//! loopback and the coordinator spawns its own workers; the same
+//! executor accepts external workers dialing from anywhere
+//! (`worker_procs = 0` spawns nothing and waits).
 //!
 //! Supervision is built for a transport that can *lose the network*, on
 //! the shared [`crate::supervisor`] machinery:
@@ -34,23 +36,32 @@
 //!   coordinator-side between epochs (checkpoints in the
 //!   [`SessionCore`]), so the resumed job carries everything the fresh
 //!   connection needs. Worker processes hold no state between jobs.
+//! * **Child supervision** — the workers a session spawned itself are
+//!   checked at every epoch start and on the epoch wait loop's 50 ms
+//!   tick. One that exited (a crash, a sabotaged frame) is respawned;
+//!   one whose connection went *silent* (a lease expired and its drain
+//!   window passed without an answer, or a heartbeat was missed) has its
+//!   process group killed first. A worker that merely dropped its
+//!   connection is left alone to redial. A failed spawn backs its slot
+//!   off by the deterministic [`faults::respawn_backoff`] and costs no
+//!   job a dispatch attempt.
 //! * **Worker starvation** — an epoch with no connected workers for
 //!   [`with_worker_wait`](RemoteWorkerExecutor::with_worker_wait)
 //!   surfaces [`OrchestratorError::WorkerUnavailable`], the trigger for
 //!   the in-process fallback rung of the degradation ladder.
 //!
-//! Deterministic network chaos drives all of this through the
-//! [`FaultPlan::network`] section
-//! ([`with_fault_plan`](RemoteWorkerExecutor::with_fault_plan)):
-//! worker-side [`NetworkFault`](crate::faults::NetworkFault)s ship to
-//! the first worker process via the fault env, and `RefuseHandshake`
-//! arms the coordinator's acceptor. A fault may cost time, never bits —
-//! Abort-mode results under every network fault are bit-identical to
-//! the fault-free in-process run.
+//! Deterministic chaos drives all of this through a [`FaultPlan`]
+//! ([`with_fault_plan`](RemoteWorkerExecutor::with_fault_plan)): worker
+//! and worker-side network faults ship to slot 0's first spawned process
+//! via the fault env (`every_worker` faults to every spawn),
+//! `respawn_failures` fail the coordinator's first spawn attempts, and
+//! `RefuseHandshake` arms the acceptor. A fault may cost time, never
+//! bits — Abort-mode results under every fault are bit-identical to the
+//! fault-free in-process run.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -67,14 +78,30 @@ use crate::executor::{
     ShardTask,
 };
 use crate::faults::{self, FaultPlan};
-use crate::process_pool::{resolve_worker_bin, MAX_DISPATCH_ATTEMPTS};
 use crate::supervisor::{EpochFailure, EpochState, SessionCore};
 use crate::wire::{self, Hello, ShardJob, ShardJobResult, WireReply, WireRequest, MAX_FRAME_LEN};
+
+/// Default dispatch-attempt budget per job (lease expiry, dropped
+/// connection, crash and protocol violation all count). Override per
+/// executor with [`RemoteWorkerExecutor::max_dispatch_attempts`].
+pub const MAX_DISPATCH_ATTEMPTS: u8 = 3;
+
+/// Base delay of the deterministic exponential backoff between failed
+/// spawn attempts of one worker slot (see [`faults::respawn_backoff`]).
+pub const DEFAULT_RESPAWN_BACKOFF: Duration = Duration::from_millis(25);
+
+/// Environment variable overriding the worker binary path (useful for
+/// driving an explicitly built binary from scripts and CI).
+pub const WORKER_BIN_ENV: &str = "LLM4FP_WORKER_BIN";
 
 /// How long an accepted connection gets to present its `Hello` before
 /// the handler gives up on it (keeps a port-scanner's silent connection
 /// from pinning a handler thread forever).
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// The epoch wait loop's tick: the resolution of the worker-starvation
+/// clock and of the checks on self-spawned workers.
+const TICK: Duration = Duration::from_millis(50);
 
 /// The [`ShardExecutor`] backed by workers dialing in over TCP.
 #[derive(Debug, Clone)]
@@ -97,10 +124,14 @@ pub struct RemoteWorkerExecutor {
 
 impl RemoteWorkerExecutor {
     /// An executor listening on loopback (`127.0.0.1:0`, kernel-assigned
-    /// port) that self-spawns `worker_procs` loopback worker daemons at
-    /// session start (`llm4fp-worker --connect`). `0` spawns nothing —
-    /// the session then serves whatever external workers dial
-    /// [`bound_addr`](Self::bound_addr).
+    /// port) that self-spawns up to `worker_procs` loopback worker
+    /// daemons at session start (`llm4fp-worker --connect`; never more
+    /// than the session has tasks) and supervises them. `0` spawns
+    /// nothing — the session then serves whatever external workers dial
+    /// [`bound_addr`](Self::bound_addr). The worker binary is resolved
+    /// from [`WORKER_BIN_ENV`], then as `llm4fp-worker` next to the
+    /// current executable; override with
+    /// [`with_worker_bin`](Self::with_worker_bin).
     pub fn new(worker_procs: usize) -> Self {
         RemoteWorkerExecutor {
             listen_addr: "127.0.0.1:0".into(),
@@ -135,8 +166,8 @@ impl RemoteWorkerExecutor {
     /// The deadline lease on one dispatched segment. A worker that
     /// neither answers nor disconnects within it loses the lease — the
     /// job re-dispatches and the late answer is discarded by lease
-    /// generation. The remote analogue of
-    /// [`ProcessPoolExecutor::with_shard_timeout`](crate::ProcessPoolExecutor::with_shard_timeout).
+    /// generation. A self-spawned worker that stays silent for one more
+    /// lease window is killed and respawned.
     pub fn with_lease_timeout(mut self, lease: Duration) -> Self {
         self.lease_timeout = lease;
         self
@@ -159,25 +190,35 @@ impl RemoteWorkerExecutor {
     }
 
     /// How many times one job may fail (lease expiry, dropped
-    /// connection, protocol violation) before the
+    /// connection, crash, protocol violation) before the
     /// [`on_shard_failure`](Self::on_shard_failure) policy applies.
+    /// Defaults to [`MAX_DISPATCH_ATTEMPTS`]; `0` is rejected at
+    /// [`begin`](ShardExecutor::begin) with
+    /// [`OrchestratorError::InvalidDispatchAttempts`].
     pub fn max_dispatch_attempts(mut self, attempts: u8) -> Self {
         self.max_dispatch_attempts = attempts;
         self
     }
 
-    /// What happens when a shard job exhausts its dispatch budget — see
-    /// [`FailurePolicy`].
+    /// What happens when a shard job exhausts its dispatch budget:
+    /// [`FailurePolicy::Abort`] (default) fails the run,
+    /// [`FailurePolicy::Quarantine`] completes the surviving shards and
+    /// reports the losses in `RunStats::failures` / `summary.json`.
     pub fn on_shard_failure(mut self, policy: FailurePolicy) -> Self {
         self.policy = policy;
         self
     }
 
     /// Arm a deterministic [`FaultPlan`]: worker faults and worker-side
-    /// [`network`](FaultPlan::network) faults ship to the first
-    /// self-spawned worker via [`faults::FAULT_PLAN_ENV`];
+    /// [`network`](FaultPlan::network) faults ship to slot 0's first
+    /// spawned worker via [`faults::FAULT_PLAN_ENV`] (`every_worker`
+    /// faults to every spawn), `respawn_failures` fail the first spawn
+    /// attempts, and
     /// [`RefuseHandshake`](crate::faults::NetworkFault::RefuseHandshake)
-    /// arms the acceptor to refuse the first incoming handshake.
+    /// arms the acceptor to refuse the first incoming handshake. An
+    /// empty plan (the default) costs one branch per site.
+    /// ([`PersistFault`](crate::faults::PersistFault)s belong to the
+    /// orchestrator — see [`crate::Orchestrator::persist_faults`].)
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
         self
@@ -198,6 +239,38 @@ impl RemoteWorkerExecutor {
     /// this is where external workers must dial.
     pub fn bound_addr(&self) -> Option<SocketAddr> {
         *self.bound.lock().unwrap()
+    }
+}
+
+/// Resolve the `llm4fp-worker` binary: the explicit override, then
+/// [`WORKER_BIN_ENV`], then `llm4fp-worker` next to the current
+/// executable.
+fn resolve_worker_bin(explicit: Option<&Path>) -> Result<PathBuf, OrchestratorError> {
+    if let Some(bin) = explicit {
+        return Ok(bin.to_path_buf());
+    }
+    if let Some(bin) = std::env::var_os(WORKER_BIN_ENV) {
+        return Ok(PathBuf::from(bin));
+    }
+    let exe = std::env::current_exe().map_err(|e| {
+        OrchestratorError::WorkerUnavailable(format!("cannot locate current executable: {e}"))
+    })?;
+    let mut dir = exe.parent().unwrap_or_else(|| Path::new(".")).to_path_buf();
+    // Test binaries live in target/<profile>/deps/; the worker bin
+    // sits one level up in target/<profile>/.
+    if dir.file_name().is_some_and(|name| name == "deps") {
+        dir.pop();
+    }
+    let bin = dir.join(format!("llm4fp-worker{}", std::env::consts::EXE_SUFFIX));
+    if bin.exists() {
+        Ok(bin)
+    } else {
+        Err(OrchestratorError::WorkerUnavailable(format!(
+            "worker binary not found at {} (build it with `cargo build -p \
+             llm4fp-orchestrator --bin llm4fp-worker`, set {WORKER_BIN_ENV}, or use \
+             with_worker_bin)",
+            bin.display()
+        )))
     }
 }
 
@@ -238,11 +311,16 @@ impl ShardExecutor for RemoteWorkerExecutor {
             OrchestratorError::WorkerUnavailable(format!("cannot configure listener: {e}"))
         })?;
         *self.bound.lock().unwrap() = Some(addr);
+        let procs = self.worker_procs.min(tasks.len());
+        // Backoff jitter derives from the campaign seed so chaos runs
+        // replay identically.
+        let backoff_seed = tasks.first().map_or(0, |task| task.config.seed);
         let shared = Arc::new(Shared {
             slot: Mutex::new(EpochSlot { epoch_id: 0, active: None }),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             workers_live: AtomicUsize::new(0),
+            silenced: Mutex::new(Vec::new()),
             refuse_budget: AtomicU32::new(self.faults.refuse_handshakes()),
             lease_timeout: self.lease_timeout,
             heartbeat: self.heartbeat,
@@ -256,48 +334,158 @@ impl ShardExecutor for RemoteWorkerExecutor {
             core: SessionCore::new(tasks, sink, self.max_dispatch_attempts, self.policy),
             shared,
             acceptor: Some(acceptor),
-            children: Vec::new(),
+            children: None,
             addr,
             worker_wait: self.worker_wait,
             pool_start: Instant::now(),
         };
-        if self.worker_procs > 0 {
-            let bin = resolve_worker_bin(self.worker_bin.as_deref())?;
-            for slot in 0..self.worker_procs {
-                let mut cmd = Command::new(&bin);
-                cmd.arg("--connect")
-                    .arg(addr.to_string())
-                    .arg("--reconnect")
-                    .arg("64")
-                    .arg("--reconnect-delay-ms")
-                    .arg("50")
-                    .stdin(Stdio::null())
-                    .stdout(Stdio::null())
-                    .stderr(Stdio::inherit());
-                if self.max_frame_len != MAX_FRAME_LEN {
-                    cmd.arg("--max-frame-len").arg(self.max_frame_len.to_string());
-                }
-                // Fault payloads ship to the first worker *process* only;
-                // job ordinals count across its reconnects, so "drop at
-                // job 1, then heal" stays deterministic.
-                if let Some(value) = self.faults.worker_env(slot == 0) {
-                    cmd.env(faults::FAULT_PLAN_ENV, value);
-                }
-                group_spawn(&mut cmd);
-                match cmd.spawn() {
-                    Ok(child) => session.children.push(child),
-                    Err(e) => {
-                        // `session` drops here: transport shut down, any
-                        // already-spawned siblings reaped.
-                        return Err(OrchestratorError::WorkerUnavailable(format!(
-                            "cannot spawn loopback worker {}: {e}",
-                            bin.display()
-                        )));
-                    }
+        if procs > 0 {
+            let children = session.children.insert(Children {
+                bin: resolve_worker_bin(self.worker_bin.as_deref())?,
+                addr,
+                max_frame_len: self.max_frame_len,
+                faults: self.faults.clone(),
+                injected_failures: self.faults.respawn_failures,
+                backoff_seed,
+                slots: (0..procs).map(|_| ChildSlot::default()).collect(),
+            });
+            for slot in 0..procs {
+                // A real spawn failure at session start means the
+                // transport cannot raise its workers at all. (`session`
+                // drops on the way out: listener closed, any
+                // already-spawned siblings reaped.)
+                if let Err(Some(e)) = children.spawn(slot) {
+                    return Err(OrchestratorError::WorkerUnavailable(format!(
+                        "cannot spawn loopback worker {}: {e}",
+                        children.bin.display()
+                    )));
                 }
             }
         }
         Ok(Box::new(session))
+    }
+}
+
+/// The worker processes a session spawned itself, one per slot, and
+/// what it needs to replace them.
+struct Children {
+    bin: PathBuf,
+    addr: SocketAddr,
+    max_frame_len: usize,
+    faults: FaultPlan,
+    /// Injected spawn failures left to burn
+    /// ([`FaultPlan::respawn_failures`]).
+    injected_failures: u32,
+    backoff_seed: u64,
+    slots: Vec<ChildSlot>,
+}
+
+#[derive(Default)]
+struct ChildSlot {
+    child: Option<Child>,
+    /// Whether this slot ever spawned a worker (`first_worker` faults
+    /// ride only slot 0's first spawn).
+    spawned: bool,
+    /// Consecutive failed spawn attempts, for the backoff.
+    failures: u32,
+    /// No spawn attempt before this instant.
+    retry_at: Option<Instant>,
+}
+
+impl Children {
+    /// One spawn attempt for `slot`. A failure — `Err(None)` for an
+    /// injected one, `Err(Some(_))` for a real one — backs the slot off
+    /// before its next attempt.
+    fn spawn(&mut self, slot: usize) -> Result<(), Option<io::Error>> {
+        let first_spawn_of_slot0 = slot == 0 && !self.slots[slot].spawned;
+        let spawned = if self.injected_failures > 0 {
+            self.injected_failures -= 1;
+            Err(None)
+        } else {
+            let mut cmd = Command::new(&self.bin);
+            cmd.arg("--connect")
+                .arg(self.addr.to_string())
+                .arg("--reconnect")
+                .arg("64")
+                .arg("--reconnect-delay-ms")
+                .arg("50")
+                .stdin(Stdio::null())
+                .stdout(Stdio::null())
+                .stderr(Stdio::inherit());
+            if self.max_frame_len != MAX_FRAME_LEN {
+                cmd.arg("--max-frame-len").arg(self.max_frame_len.to_string());
+            }
+            // Job ordinals count across the process's reconnects, so
+            // "drop at job 1, then heal" stays deterministic.
+            if let Some(value) = self.faults.worker_env(first_spawn_of_slot0) {
+                cmd.env(faults::FAULT_PLAN_ENV, value);
+            }
+            group_spawn(&mut cmd);
+            cmd.spawn().map_err(Some)
+        };
+        let state = &mut self.slots[slot];
+        match spawned {
+            Ok(child) => {
+                state.child = Some(child);
+                state.spawned = true;
+                state.failures = 0;
+                Ok(())
+            }
+            Err(e) => {
+                state.failures += 1;
+                state.retry_at = Some(
+                    Instant::now()
+                        + faults::respawn_backoff(
+                            self.backoff_seed,
+                            slot,
+                            state.failures,
+                            DEFAULT_RESPAWN_BACKOFF,
+                        ),
+                );
+                Err(e)
+            }
+        }
+    }
+
+    /// Kill the children whose connections went silent, forget the ones
+    /// that exited, and respawn every empty slot whose backoff is over.
+    /// Never after shutdown has begun.
+    fn supervise(&mut self, shared: &Shared) {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        let silenced = std::mem::take(&mut *shared.silenced.lock().unwrap());
+        let now = Instant::now();
+        for slot in 0..self.slots.len() {
+            let state = &mut self.slots[slot];
+            if let Some(child) = state.child.as_mut() {
+                if silenced.contains(&child.id()) {
+                    kill_group(child);
+                    state.child = None;
+                } else if matches!(child.try_wait(), Ok(Some(_))) {
+                    state.child = None;
+                }
+            }
+            if state.child.is_none() && state.retry_at.map_or(true, |at| now >= at) {
+                let _ = self.spawn(slot);
+            }
+        }
+    }
+
+    /// Give the children (already sent `Shutdown`) a grace window to
+    /// exit cleanly, then kill the stragglers.
+    fn shutdown(&mut self) {
+        let deadline = Instant::now() + Duration::from_secs(3);
+        let mut live: Vec<Child> = self.slots.iter_mut().filter_map(|s| s.child.take()).collect();
+        while !live.is_empty() && Instant::now() < deadline {
+            live.retain_mut(|child| !matches!(child.try_wait(), Ok(Some(_))));
+            if !live.is_empty() {
+                thread::sleep(Duration::from_millis(10));
+            }
+        }
+        for child in live.iter_mut() {
+            kill_group(child);
+        }
     }
 }
 
@@ -310,6 +498,9 @@ struct Shared {
     /// Connections that passed the handshake and are serving (feeds the
     /// session's worker-starvation clock).
     workers_live: AtomicUsize,
+    /// Pids of workers whose connections were retired for silence; the
+    /// session kills the ones it spawned.
+    silenced: Mutex<Vec<u32>>,
     /// Remaining injected handshake refusals
     /// ([`crate::faults::NetworkFault::RefuseHandshake`]).
     refuse_budget: AtomicU32,
@@ -366,11 +557,21 @@ fn abandon(shared: &Shared, epoch_id: u64, job: usize, lease: u64, why: String) 
         let mut slot = shared.slot.lock().unwrap();
         if slot.epoch_id == epoch_id {
             if let Some(epoch) = slot.active.as_mut() {
-                epoch.state.abandon(job, lease, why, false);
+                epoch.state.abandon(job, lease, why);
             }
         }
     }
     shared.cv.notify_all();
+}
+
+/// Retire a connection whose worker went silent: if the session spawned
+/// that worker (`pid` is `None` for a worker on another host), it kills
+/// the process group and respawns the slot.
+fn silence(shared: &Shared, pid: Option<u32>) {
+    if let Some(pid) = pid {
+        shared.silenced.lock().unwrap().push(pid);
+        shared.cv.notify_all();
+    }
 }
 
 /// Route a result frame that is not the currently awaited answer: if it
@@ -447,6 +648,11 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
         // in words, just hang up.
         Ok(_) | Err(_) => return,
     };
+    // A pid names a process only on this host: a worker dialing from
+    // another machine could share one with a child of this session.
+    let same_host =
+        writer.peer_addr().ok().map(|a| a.ip()) == writer.local_addr().ok().map(|a| a.ip());
+    let pid = same_host.then_some(hello.pid);
     if let Err(skew) = hello.check() {
         // A version skew is a refusal in words, never undefined framing.
         let _ = wire::write_frame_limited(&mut writer, &WireRequest::Refuse(skew.to_string()), max);
@@ -537,13 +743,11 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
             }
             let deadline = Instant::now() + shared.heartbeat.max(Duration::from_secs(1));
             loop {
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    return; // missed heartbeat: the connection is dead
-                }
-                match rx.recv_timeout(left) {
+                match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
                     Ok(Ok(WireReply::Pong(_))) => break,
                     Ok(Ok(WireReply::Result(result))) => feed_stray(shared, &sent, *result),
+                    // Missed heartbeat: the worker is alive but silent.
+                    Err(RecvTimeoutError::Timeout) => return silence(shared, pid),
                     Ok(Ok(WireReply::Hello(_))) | Ok(Err(_)) | Err(_) => return,
                 }
             }
@@ -610,7 +814,7 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
                 // — then the connection gets one more lease-length window
                 // to prove it was slow rather than dead: its late answer
                 // (discarded as stale by generation) lets the connection
-                // be reused; silence retires it.
+                // be reused; silence retires it (and kills the worker).
                 abandon(
                     shared,
                     epoch_id,
@@ -620,11 +824,7 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
                 );
                 let drain = Instant::now() + shared.lease_timeout;
                 loop {
-                    let left = drain.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return;
-                    }
-                    match rx.recv_timeout(left) {
+                    match rx.recv_timeout(drain.saturating_duration_since(Instant::now())) {
                         Ok(Ok(WireReply::Result(result))) => {
                             let late_answer = result.lease == lease;
                             feed_stray(shared, &sent, *result);
@@ -633,6 +833,7 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
                             }
                         }
                         Ok(Ok(WireReply::Pong(_))) => {}
+                        Err(RecvTimeoutError::Timeout) => return silence(shared, pid),
                         Ok(Ok(WireReply::Hello(_))) | Ok(Err(_)) | Err(_) => return,
                     }
                 }
@@ -651,10 +852,9 @@ struct RemoteSession<'s> {
     core: SessionCore<'s>,
     shared: Arc<Shared>,
     acceptor: Option<thread::JoinHandle<()>>,
-    /// Self-spawned loopback worker daemons (empty with external
-    /// workers). Never respawned: a dead remote worker's recovery story
-    /// is lease expiry plus whatever redials — not coordinator forking.
-    children: Vec<Child>,
+    /// Self-spawned loopback worker daemons (`None` with external
+    /// workers only).
+    children: Option<Children>,
     addr: SocketAddr,
     worker_wait: Duration,
     pool_start: Instant,
@@ -668,18 +868,9 @@ impl RemoteSession<'_> {
     fn shutdown_transport(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.cv.notify_all();
-        let deadline = Instant::now() + Duration::from_secs(3);
-        while !self.children.is_empty() && Instant::now() < deadline {
-            self.children.retain_mut(|child| !matches!(child.try_wait(), Ok(Some(_))));
-            if self.children.is_empty() {
-                break;
-            }
-            thread::sleep(Duration::from_millis(10));
+        if let Some(children) = self.children.as_mut() {
+            children.shutdown();
         }
-        for child in self.children.iter_mut() {
-            kill_group(child);
-        }
-        self.children.clear();
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
@@ -715,8 +906,13 @@ impl ShardSession for RemoteSession<'_> {
         };
         self.shared.cv.notify_all();
         // Wait (with a worker-starvation deadline) until the connection
-        // threads settle the epoch.
+        // threads settle the epoch, supervising the self-spawned workers
+        // at the start and then at most once per tick.
+        if let Some(children) = self.children.as_mut() {
+            children.supervise(&self.shared);
+        }
         let mut starving_since = Instant::now();
+        let mut supervised = Instant::now();
         let mut slot = self.shared.slot.lock().unwrap();
         loop {
             debug_assert_eq!(slot.epoch_id, epoch_id);
@@ -737,11 +933,15 @@ impl ShardSession for RemoteSession<'_> {
                 });
                 break;
             }
-            // Short tick: doubles as the starvation clock's resolution
-            // and a backstop against a missed notification.
-            let (reacquired, _) =
-                self.shared.cv.wait_timeout(slot, Duration::from_millis(50)).unwrap();
-            slot = reacquired;
+            if supervised.elapsed() >= TICK {
+                if let Some(children) = self.children.as_mut() {
+                    children.supervise(&self.shared);
+                }
+                supervised = Instant::now();
+            }
+            // Short tick: the starvation clock's and the child checks'
+            // resolution, and a backstop against a missed notification.
+            slot = self.shared.cv.wait_timeout(slot, TICK).unwrap().0;
         }
         let state = slot.active.take().expect("epoch installed above").state;
         drop(slot);
@@ -782,6 +982,10 @@ mod tests {
         assert_eq!(RemoteWorkerExecutor::new(0).name(), "remote");
         assert!(!RemoteWorkerExecutor::new(0).shares_cache());
         assert_eq!(RemoteWorkerExecutor::new(0).bound_addr(), None);
+        // A pinned worker binary is handed through untouched; whether it
+        // spawns is the session's problem (see the integration tests).
+        let pinned = Path::new("/nonexistent/llm4fp-worker");
+        assert_eq!(resolve_worker_bin(Some(pinned)).unwrap(), pinned);
     }
 
     #[test]

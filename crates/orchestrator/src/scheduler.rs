@@ -266,16 +266,6 @@ impl Scheduler {
             })
             .collect())
     }
-
-    /// Deprecated positional entry point.
-    #[deprecated(since = "0.3.0", note = "use `Scheduler::new(options).shards(k).run(configs)`")]
-    pub fn run_suite(&self, configs: &[CampaignConfig], shards: usize) -> Vec<OrchestratedResult> {
-        let mut scheduler = self.clone().shards(shards);
-        // The old signature silently tolerated `workers == 0`; preserve
-        // that for existing callers (the builder rejects it instead).
-        scheduler.options.workers = scheduler.options.workers.max(1);
-        scheduler.run(configs).expect("in-memory suite cannot fail")
-    }
 }
 
 /// The scheduler's [`RecordSink`]: per-campaign wall clocks. A campaign's

@@ -1,11 +1,10 @@
-//! Transport-shared supervision: lease-based dispatch state and the
-//! barrier bookkeeping every out-of-process transport folds results
+//! Transport-independent supervision: lease-based dispatch state and
+//! the barrier bookkeeping the out-of-process transport folds results
 //! through.
 //!
-//! Both pool executors — [`crate::ProcessPoolExecutor`] over pipes and
-//! [`crate::RemoteWorkerExecutor`] over sockets — drive the same
-//! recovery machinery, extracted here so the dispatch budget, backoff,
-//! quarantine and fallback semantics cannot drift between transports:
+//! [`crate::RemoteWorkerExecutor`] moves jobs and results over sockets;
+//! the dispatch budget, quarantine and fallback semantics live here, as
+//! plain state machines that can be tested without a single process:
 //!
 //! * [`EpochState`] is one epoch's dispatch ledger. Every dispatch holds
 //!   a **lease**: a monotonically increasing generation number stamped
@@ -20,9 +19,9 @@
 //!   that turns accepted results into deltas, sink replays and barrier
 //!   state.
 //!
-//! The transports keep only what is genuinely theirs: process spawning
-//! and pipe pumping in `process_pool`, and sockets, handshakes,
-//! heartbeats and reconnect acceptance in `remote`.
+//! The transport keeps only what is genuinely its own: sockets,
+//! handshakes, heartbeats, reconnect acceptance and worker-process
+//! supervision in `remote`.
 
 use std::collections::VecDeque;
 
@@ -33,7 +32,7 @@ use crate::shard::{ShardFailureReport, ShardOutput};
 use crate::wire::{ShardJob, ShardJobResult};
 
 /// Why an epoch gave up, and whether the terminal failure was the
-/// spawn-the-worker class (which maps to
+/// no-worker-at-all class (which maps to
 /// [`OrchestratorError::WorkerUnavailable`] — the in-process fallback's
 /// trigger) rather than a job-execution failure.
 pub struct EpochFailure {
@@ -112,7 +111,8 @@ impl EpochState {
     }
 
     /// Fail the whole epoch from outside the per-job budget accounting
-    /// (the remote transport's worker-starvation deadline uses this).
+    /// (the transport's worker-starvation deadline reports
+    /// `worker_unavailable` this way).
     pub fn fail(&mut self, failure: EpochFailure) {
         if self.failed.is_none() {
             self.failed = Some(failure);
@@ -162,12 +162,11 @@ impl EpochState {
     }
 
     /// The dispatch under `lease` failed (crash, hang past the lease
-    /// deadline, protocol violation, spawn failure). The lease dies;
-    /// the job requeues unless it already completed elsewhere or ran
-    /// out of attempts — then the failure policy decides between
-    /// failing the epoch and quarantining the job. `spawn_failure`
-    /// marks the cannot-even-spawn class for the degradation ladder.
-    pub fn abandon(&mut self, job: usize, lease: u64, why: String, spawn_failure: bool) {
+    /// deadline, dropped connection, protocol violation). The lease
+    /// dies; the job requeues unless it already completed elsewhere or
+    /// ran out of attempts — then the failure policy decides between
+    /// failing the epoch and quarantining the job.
+    pub fn abandon(&mut self, job: usize, lease: u64, why: String) {
         if let Some(position) = self.leases[job].iter().position(|&live| live == lease) {
             self.leases[job].swap_remove(position);
         }
@@ -183,7 +182,7 @@ impl EpochState {
                         message: format!(
                             "shard job {job} failed {budget} time(s); last error: {why}"
                         ),
-                        worker_unavailable: spawn_failure,
+                        worker_unavailable: false,
                     });
                 }
                 FailurePolicy::Quarantine => {
@@ -417,7 +416,8 @@ impl<'s> SessionCore<'s> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process_pool::MAX_DISPATCH_ATTEMPTS;
+    use crate::executor::NullSink;
+    use crate::remote::MAX_DISPATCH_ATTEMPTS;
 
     fn abort_state(jobs: usize) -> EpochState {
         EpochState::new(jobs, &vec![false; jobs], MAX_DISPATCH_ATTEMPTS, FailurePolicy::Abort)
@@ -441,15 +441,15 @@ mod tests {
         assert_eq!(job_a, 0);
         assert_eq!(state.next_job().map(|(job, _)| job), Some(1));
         // Worker holding job 0 crashes twice; job re-enters the queue.
-        state.abandon(0, lease_a, "crash".into(), false);
+        state.abandon(0, lease_a, "crash".into());
         assert!(state.failed.is_none());
         let (job, lease) = state.next_job().unwrap();
         assert_eq!(job, 0);
-        state.abandon(0, lease, "crash".into(), false);
+        state.abandon(0, lease, "crash".into());
         let (job, lease) = state.next_job().unwrap();
         assert_eq!(job, 0);
         // Third failure exhausts the attempt budget.
-        state.abandon(0, lease, "crash".into(), false);
+        state.abandon(0, lease, "crash".into());
         let failure = state.failed.as_ref().unwrap();
         assert!(failure.message.contains("3 time(s)"));
         assert!(!failure.worker_unavailable);
@@ -458,11 +458,20 @@ mod tests {
 
     #[test]
     fn spawn_class_failures_mark_worker_unavailable() {
-        let mut state = EpochState::new(1, &[false], 1, FailurePolicy::Abort);
-        let (job, lease) = state.next_job().unwrap();
-        assert_eq!(job, 0);
-        state.abandon(0, lease, "cannot spawn worker".into(), true);
-        assert!(state.failed.as_ref().unwrap().worker_unavailable);
+        // A transport with no worker at all folds into WorkerUnavailable
+        // (the fallback trigger); a job that exhausts its budget folds
+        // into Executor.
+        let mut core = SessionCore::new(Vec::new(), &NullSink, 1, FailurePolicy::Abort);
+        let mut starved = abort_state(1);
+        starved.fail(EpochFailure { message: "no workers".into(), worker_unavailable: true });
+        assert!(matches!(
+            core.fold_epoch(starved, true),
+            Err(OrchestratorError::WorkerUnavailable(_))
+        ));
+        let mut crashed = EpochState::new(1, &[false], 1, FailurePolicy::Abort);
+        let (job, lease) = crashed.next_job().unwrap();
+        crashed.abandon(job, lease, "worker stream closed".into());
+        assert!(matches!(core.fold_epoch(crashed, true), Err(OrchestratorError::Executor(_))));
     }
 
     #[test]
@@ -470,10 +479,10 @@ mod tests {
         let mut state = EpochState::new(2, &[false, false], 2, FailurePolicy::Quarantine);
         let (job, lease) = state.next_job().unwrap();
         assert_eq!(job, 0);
-        state.abandon(0, lease, "crash".into(), false);
+        state.abandon(0, lease, "crash".into());
         let (job, lease) = state.next_job().unwrap();
         assert_eq!(job, 0);
-        state.abandon(0, lease, "crash again".into(), false);
+        state.abandon(0, lease, "crash again".into());
         // Budget exhausted: quarantined, not failed; the epoch continues
         // with the surviving job.
         assert!(state.failed.is_none());
@@ -523,7 +532,7 @@ mod tests {
         let (job, expired) = state.next_job().unwrap();
         assert_eq!(job, 0);
         // Lease deadline passes: the supervisor abandons the dispatch.
-        state.abandon(0, expired, "lease expired after 0.2s".into(), false);
+        state.abandon(0, expired, "lease expired after 0.2s".into());
         let (job, fresh) = state.next_job().unwrap();
         assert_eq!(job, 0);
         assert_ne!(expired, fresh);

@@ -1,7 +1,8 @@
 //! The coordinator ↔ worker-daemon wire contract.
 //!
-//! The process-pool transport farms [`ShardJob`]s to `llm4fp-worker`
-//! daemons over their stdin/stdout as **length-prefixed JSON frames**:
+//! The socket transport ([`crate::RemoteWorkerExecutor`]) farms
+//! [`ShardJob`]s to `llm4fp-worker --connect` daemons over TCP as
+//! **length-prefixed JSON frames**:
 //!
 //! ```text
 //! 0000000123\n{...123 bytes of JSON...}
@@ -24,13 +25,12 @@
 //! crash-and-redispatch and straggler duplication sound — recomputing a
 //! job on another worker yields byte-identical results.
 //!
-//! Since the socket transport, every stream opens with a **versioned
-//! handshake**: the worker's first frame is [`WireReply::Hello`] and the
-//! coordinator answers [`WireRequest::Hello`] (or a typed
-//! [`WireRequest::Refuse`]). A version skew is a
-//! [`WireError::VersionMismatch`] — a refusal in words, never undefined
-//! framing — and the same handshake runs over pipes, so a stale worker
-//! binary on either transport fails loudly before any job is exchanged.
+//! Every stream opens with a **versioned handshake**: the worker's first
+//! frame is [`WireReply::Hello`] and the coordinator answers
+//! [`WireRequest::Hello`] (or a typed [`WireRequest::Refuse`]). A version
+//! skew is a [`WireError::VersionMismatch`] — a refusal in words, never
+//! undefined framing — so a stale worker binary fails loudly before any
+//! job is exchanged, whichever end is out of date.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -45,24 +45,33 @@ use crate::shard::{ShardOutput, ShardSpec};
 /// The wire-protocol version this build speaks. Bump on any frame-shape
 /// change; the handshake refuses mismatches in words instead of letting
 /// two builds mis-parse each other's frames.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// The opening frame of every stream, sent by both ends (worker first).
 /// Carries the two version numbers whose skew could silently corrupt a
 /// run: the frame protocol itself and the run-dir manifest schema the
-/// checkpoints inside jobs are written against.
+/// checkpoints inside jobs are written against — plus the sender's
+/// process id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Hello {
     /// The sender's [`PROTOCOL_VERSION`].
     pub protocol: u32,
     /// The sender's [`crate::persist::MANIFEST_SCHEMA`].
     pub manifest_schema: u32,
+    /// The sender's process id. The coordinator matches a worker's pid
+    /// against the processes it spawned, so it knows which one to kill
+    /// when that worker's connection goes silent. Not version-checked.
+    pub pid: u32,
 }
 
 impl Hello {
-    /// The handshake frame this build sends.
+    /// The handshake frame this build sends, from this process.
     pub fn current() -> Self {
-        Hello { protocol: PROTOCOL_VERSION, manifest_schema: crate::persist::MANIFEST_SCHEMA }
+        Hello {
+            protocol: PROTOCOL_VERSION,
+            manifest_schema: crate::persist::MANIFEST_SCHEMA,
+            pid: std::process::id(),
+        }
     }
 
     /// Accept or refuse a peer's handshake. Any skew is a typed
@@ -149,8 +158,7 @@ pub struct ShardJob {
     /// The worker echoes it back verbatim in [`ShardJobResult::lease`];
     /// the supervisor accepts a result only while that generation is
     /// still live, so a late answer from an expired lease is discarded
-    /// rather than racing the re-dispatch. Pipes use it too (one more
-    /// reason results stay a pure function of the job, not the worker).
+    /// rather than racing the re-dispatch.
     pub lease: u64,
 }
 
@@ -191,7 +199,7 @@ pub enum WireRequest {
     /// Liveness probe while idle; the worker answers [`WireReply::Pong`]
     /// with the same token.
     Ping(u64),
-    /// Exit cleanly (EOF on stdin means the same).
+    /// Exit cleanly, without redialing.
     Shutdown,
 }
 

@@ -11,12 +11,11 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
 use llm4fp::{ApproachKind, CampaignConfig, CampaignResult};
 use llm4fp_orchestrator::{
     FailurePolicy, FaultPlan, OrchestratedResult, Orchestrator, OrchestratorError, PersistError,
-    PersistFault, ProcessPoolExecutor, RunDir, RunManifest, WorkerFault, MANIFEST_SCHEMA,
+    PersistFault, RemoteWorkerExecutor, RunDir, RunManifest, WorkerFault, MANIFEST_SCHEMA,
 };
 use serde::{Number, Value};
 
@@ -218,9 +217,8 @@ fn quarantined_run_dirs_resume_bit_identically_once_faults_clear() {
     let reference = Orchestrator::new(config.clone()).shards(3).workers(2).run().unwrap();
 
     let root = temp_dir("quarantine-resume");
-    let poisoned = ProcessPoolExecutor::new(2)
+    let poisoned = RemoteWorkerExecutor::new(2)
         .with_worker_bin(PathBuf::from(env!("CARGO_BIN_EXE_llm4fp-worker")))
-        .respawn_backoff_base(Duration::from_millis(1))
         .on_shard_failure(FailurePolicy::Quarantine)
         .with_fault_plan(FaultPlan {
             every_worker: vec![WorkerFault::CrashOnShard(1)],

@@ -485,31 +485,6 @@ fn zero_workers_is_a_typed_error_everywhere() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn deprecated_shims_reproduce_the_builder_output() {
-    // The 0.2 entry points survive as shims over the builder; they must
-    // keep producing bit-identical results until they are removed.
-    let cfg = config(ApproachKind::Llm4Fp, 20, 3);
-    let builder = run_sharded(&cfg, 3);
-    let shim = Orchestrator::run_sharded(&cfg, 3);
-    assert_results_identical(&shim, &builder, "run_sharded shim");
-    let builder = run_sharded_epochs(&cfg, 3, 2);
-    let shim = Orchestrator::run_sharded_epochs(&cfg, 3, 2);
-    assert_results_identical(&shim, &builder, "run_sharded_epochs shim");
-
-    let configs = vec![cfg.clone(), config(ApproachKind::Varity, 12, 5)];
-    let builder = Scheduler::new(options(2, true, 2)).shards(2).run(&configs).unwrap();
-    let shim = Scheduler::new(options(2, true, 2)).run_suite(&configs, 2);
-    assert_eq!(shim.len(), builder.len());
-    for (s, b) in shim.iter().zip(&builder) {
-        assert_results_identical(&s.result, &b.result, "run_suite shim");
-    }
-    // And the old zero-worker tolerance is preserved by the shim alone.
-    let clamped = Scheduler::new(options(0, false, 1)).run_suite(&configs, 2);
-    assert_eq!(clamped.len(), configs.len());
-}
-
-#[test]
 fn shard_plans_cover_the_budget_without_overlap() {
     let config = config(ApproachKind::Varity, 103, 99);
     for shards in [1usize, 2, 3, 8, 50, 103, 200] {
