@@ -33,6 +33,7 @@
 
 use std::io::{self, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -202,6 +203,21 @@ struct WorkerArgs {
     max_frame_len: usize,
 }
 
+const USAGE: &str = "usage: llm4fp-worker --connect HOST:PORT [--reconnect N] \
+                     [--reconnect-delay-ms MS] [--max-frame-len BYTES]";
+
+/// Print `message` and the usage text, then exit 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("llm4fp-worker: {message}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// The value after `flag`, parsed as a `what` (a number, a byte count).
+fn flag_value<T: FromStr>(argv: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> T {
+    let value = argv.next().unwrap_or_else(|| usage_error(&format!("{flag} needs a value")));
+    value.parse().unwrap_or_else(|_| usage_error(&format!("{flag} needs {what}")))
+}
+
 fn parse_args() -> WorkerArgs {
     let mut connect = None;
     let mut args = WorkerArgs {
@@ -211,52 +227,25 @@ fn parse_args() -> WorkerArgs {
         max_frame_len: MAX_FRAME_LEN,
     };
     let mut argv = std::env::args().skip(1);
-    let usage = "usage: llm4fp-worker --connect HOST:PORT [--reconnect N] \
-                 [--reconnect-delay-ms MS] [--max-frame-len BYTES]";
-    let value = |argv: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        argv.next().unwrap_or_else(|| {
-            eprintln!("llm4fp-worker: {flag} needs a value\n{usage}");
-            std::process::exit(2);
-        })
-    };
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--connect" => connect = Some(value(&mut argv, "--connect")),
-            "--reconnect" => {
-                args.reconnect = value(&mut argv, "--reconnect").parse().unwrap_or_else(|_| {
-                    eprintln!("llm4fp-worker: --reconnect needs a number\n{usage}");
-                    std::process::exit(2);
-                });
-            }
+            "--connect" => connect = Some(flag_value(&mut argv, "--connect", "an address")),
+            "--reconnect" => args.reconnect = flag_value(&mut argv, "--reconnect", "a number"),
             "--reconnect-delay-ms" => {
-                let ms: u64 =
-                    value(&mut argv, "--reconnect-delay-ms").parse().unwrap_or_else(|_| {
-                        eprintln!("llm4fp-worker: --reconnect-delay-ms needs a number\n{usage}");
-                        std::process::exit(2);
-                    });
+                let ms = flag_value(&mut argv, "--reconnect-delay-ms", "a number");
                 args.reconnect_delay = Duration::from_millis(ms);
             }
             "--max-frame-len" => {
-                args.max_frame_len =
-                    value(&mut argv, "--max-frame-len").parse().unwrap_or_else(|_| {
-                        eprintln!("llm4fp-worker: --max-frame-len needs a byte count\n{usage}");
-                        std::process::exit(2);
-                    });
+                args.max_frame_len = flag_value(&mut argv, "--max-frame-len", "a byte count");
                 if args.max_frame_len == 0 {
                     eprintln!("llm4fp-worker: --max-frame-len must be at least 1 byte (got 0)");
                     std::process::exit(2);
                 }
             }
-            other => {
-                eprintln!("llm4fp-worker: unknown argument {other:?}\n{usage}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument {other:?}")),
         }
     }
-    args.connect = connect.unwrap_or_else(|| {
-        eprintln!("llm4fp-worker: --connect is required\n{usage}");
-        std::process::exit(2);
-    });
+    args.connect = connect.unwrap_or_else(|| usage_error("--connect is required"));
     args
 }
 

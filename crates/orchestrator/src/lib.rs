@@ -113,6 +113,7 @@ pub mod faults;
 pub mod orchestrate;
 pub mod persist;
 pub mod pool;
+mod process_pool;
 pub mod remote;
 pub mod scheduler;
 pub mod shard;

@@ -1,188 +1,30 @@
-//! The out-of-process transport: `llm4fp-worker` daemons fed over pipes.
-//!
-//! [`ProcessPoolExecutor`] implements [`ShardExecutor`] by farming
-//! [`crate::wire::ShardJob`]s to a pool of persistent worker daemons
-//! (the `llm4fp-worker` binary built from this crate), one job in flight
-//! per worker, over length-prefixed JSON frames on stdin/stdout
-//! ([`crate::wire`]). Fault tolerance is built on the fact that a job is
-//! a pure function of its bytes:
-//!
-//! * **Per-shard timeouts** — a worker that neither answers nor dies
-//!   within [`ProcessPoolExecutor::with_shard_timeout`] is killed (whole
-//!   process group, reusing the extcc kill machinery) and replaced.
-//! * **Crash-and-redispatch** — a dead or hung worker's job re-enters the
-//!   queue; after [`max_dispatch_attempts`] failures the failure policy
-//!   decides: [`FailurePolicy::Abort`] (default) errors the run out,
-//!   [`FailurePolicy::Quarantine`] completes the campaign on the
-//!   surviving shards and reports the losses.
-//! * **Respawn supervision** — a failed worker spawn is itself a
-//!   retryable dispatch failure, spaced by a deterministic seed-derived
-//!   exponential backoff ([`crate::faults::respawn_backoff`]); a
-//!   transport whose workers can never spawn surfaces
-//!   [`OrchestratorError::WorkerUnavailable`], the trigger for the
-//!   in-process fallback rung of the degradation ladder.
-//! * **Liveness checks at epoch barriers** — a daemon that died between
-//!   epochs is detected and its slot cleared before dispatch, so the new
-//!   epoch never burns a dispatch attempt discovering a known corpse.
-//! * **Straggler re-dispatch** — an idle worker at the epoch tail
-//!   duplicates the slowest still-running job (at most one duplicate);
-//!   the first answer wins and the loser is discarded, so barriers are
-//!   bounded by the second-slowest attempt instead of one bad process.
-//!
-//! Deterministic chaos testing drives all of this through a serializable
-//! [`FaultPlan`] ([`ProcessPoolExecutor::with_fault_plan`]): worker
-//! crash/stall/frame-sabotage faults ship to the daemons via one
-//! environment variable, and respawn failures inject into the
-//! coordinator's own spawn path.
-//!
-//! Shard state lives coordinator-side between epochs: each barrier's
-//! checkpoint comes back with the job result, the exchange pool is
-//! injected into the *stored checkpoint* (`RunnerCheckpoint::
-//! inject_successful` — commutative with runner-side injection), and the
-//! next epoch's job carries the updated checkpoint back out. Workers are
-//! stateless and interchangeable; results are bit-identical to
-//! [`crate::InProcessExecutor`] for any worker count, crash pattern, or
-//! duplication schedule. (The only non-contractual divergence: workers
-//! run uncached and runtime scratch is not checkpointed, so wall-clock
-//! fields and `ShardOutput::peak_regs` may differ — never the records.)
-//!
-//! [`max_dispatch_attempts`]: ProcessPoolExecutor::max_dispatch_attempts
+//! The `llm4fp-worker --connect` processes a
+//! [`RemoteWorkerExecutor`] session spawns on loopback, one per slot:
+//! binary lookup, spawning with the slot's faults, killing silenced
+//! workers, backed-off respawns and shutdown. Jobs and leases are the
+//! socket's business (`remote`); these processes dial it like any
+//! external worker.
 
 use std::io;
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::process::{Child, ChildStdin, Command, Stdio};
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
+use std::thread;
 use std::time::{Duration, Instant};
 
-use llm4fp::RunnerCheckpoint;
 use llm4fp_extcc::{group_spawn, kill_group};
-use llm4fp_telemetry::keys;
 
-use crate::executor::{
-    FailurePolicy, OrchestratorError, RecordSink, SessionOutcome, ShardExecutor, ShardSession,
-    ShardTask,
-};
+use crate::executor::OrchestratorError;
 use crate::faults::{self, FaultPlan};
-use crate::supervisor::{EpochState, SessionCore};
-use crate::wire::{self, Hello, ShardJobResult, WireReply, WireRequest, MAX_FRAME_LEN};
+use crate::remote::{RemoteWorkerExecutor, DEFAULT_RESPAWN_BACKOFF, WORKER_BIN_ENV};
+use crate::wire::MAX_FRAME_LEN;
 
-/// Default dispatch-attempt budget per job (crash, hang, spawn failure all
-/// count). Override per executor with
-/// [`ProcessPoolExecutor::max_dispatch_attempts`].
-pub const MAX_DISPATCH_ATTEMPTS: u8 = 3;
-
-/// Default base delay of the deterministic exponential respawn backoff.
-pub const DEFAULT_RESPAWN_BACKOFF: Duration = Duration::from_millis(25);
-
-/// Environment variable overriding the worker binary path (useful for
-/// driving an explicitly built binary from scripts and CI).
-pub const WORKER_BIN_ENV: &str = "LLM4FP_WORKER_BIN";
-
-/// The [`ShardExecutor`] backed by out-of-process worker daemons.
-#[derive(Debug, Clone)]
-pub struct ProcessPoolExecutor {
-    worker_procs: usize,
-    worker_bin: Option<PathBuf>,
-    shard_timeout: Duration,
-    max_dispatch_attempts: u8,
-    backoff_base: Duration,
-    policy: FailurePolicy,
-    faults: FaultPlan,
-    max_frame_len: usize,
-}
-
-impl ProcessPoolExecutor {
-    /// An executor farming jobs to up to `worker_procs` daemons (clamped
-    /// to at least 1). The worker binary is resolved from
-    /// [`WORKER_BIN_ENV`], then as `llm4fp-worker` next to the current
-    /// executable; override with
-    /// [`with_worker_bin`](ProcessPoolExecutor::with_worker_bin).
-    pub fn new(worker_procs: usize) -> Self {
-        ProcessPoolExecutor {
-            worker_procs: worker_procs.max(1),
-            worker_bin: None,
-            shard_timeout: Duration::from_secs(300),
-            max_dispatch_attempts: MAX_DISPATCH_ATTEMPTS,
-            backoff_base: DEFAULT_RESPAWN_BACKOFF,
-            policy: FailurePolicy::default(),
-            faults: FaultPlan::none(),
-            max_frame_len: MAX_FRAME_LEN,
-        }
-    }
-
-    /// Pin the worker daemon binary path explicitly.
-    pub fn with_worker_bin(mut self, bin: impl Into<PathBuf>) -> Self {
-        self.worker_bin = Some(bin.into());
-        self
-    }
-
-    /// Wall-clock bound on one dispatched segment. A worker that neither
-    /// answers nor exits within it is killed and its job redispatched.
-    pub fn with_shard_timeout(mut self, timeout: Duration) -> Self {
-        self.shard_timeout = timeout;
-        self
-    }
-
-    /// How many times one job may fail (crash, hang, spawn failure)
-    /// before the [`on_shard_failure`](Self::on_shard_failure) policy
-    /// applies. Defaults to [`MAX_DISPATCH_ATTEMPTS`]; `0` is rejected at
-    /// [`begin`](ShardExecutor::begin) with
-    /// [`OrchestratorError::InvalidDispatchAttempts`].
-    pub fn max_dispatch_attempts(mut self, attempts: u8) -> Self {
-        self.max_dispatch_attempts = attempts;
-        self
-    }
-
-    /// Base delay of the deterministic exponential backoff between
-    /// consecutive failed spawn attempts of one worker slot (doubles up
-    /// to 64x, with seed-derived jitter — see
-    /// [`crate::faults::respawn_backoff`]).
-    pub fn respawn_backoff_base(mut self, base: Duration) -> Self {
-        self.backoff_base = base;
-        self
-    }
-
-    /// What happens when a shard job exhausts its dispatch budget:
-    /// [`FailurePolicy::Abort`] (default) fails the run,
-    /// [`FailurePolicy::Quarantine`] completes the surviving shards and
-    /// reports the losses in `RunStats::failures` / `summary.json`.
-    pub fn on_shard_failure(mut self, policy: FailurePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Arm a deterministic [`FaultPlan`] for chaos testing: worker faults
-    /// ship to the daemons via [`crate::faults::FAULT_PLAN_ENV`], and
-    /// `respawn_failures` inject into the coordinator's spawn path. An
-    /// empty plan (the default) costs one branch per site.
-    /// ([`PersistFault`](crate::faults::PersistFault)s belong to the
-    /// orchestrator — see [`crate::Orchestrator::persist_faults`].)
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
-        self
-    }
-
-    /// Cap on one wire frame's payload, for both directions of every
-    /// worker stream (the cap is forwarded to spawned workers via
-    /// `--max-frame-len`). Defaults to [`MAX_FRAME_LEN`] (256 MiB);
-    /// `0` is rejected at [`begin`](ShardExecutor::begin) with
-    /// [`OrchestratorError::InvalidFrameLen`].
-    pub fn with_max_frame_len(mut self, max_frame_len: usize) -> Self {
-        self.max_frame_len = max_frame_len;
-        self
-    }
-
-    fn resolve_worker_bin(&self) -> Result<PathBuf, OrchestratorError> {
-        resolve_worker_bin(self.worker_bin.as_deref())
-    }
-}
-
-/// Resolve the `llm4fp-worker` binary for a pool transport: the explicit
-/// override, then [`WORKER_BIN_ENV`], then `llm4fp-worker` next to the
-/// current executable.
-pub(crate) fn resolve_worker_bin(explicit: Option<&Path>) -> Result<PathBuf, OrchestratorError> {
+/// Resolve the `llm4fp-worker` binary: the explicit override, then
+/// [`WORKER_BIN_ENV`], then `llm4fp-worker` next to the current
+/// executable.
+fn resolve_worker_bin(explicit: Option<&Path>) -> Result<PathBuf, OrchestratorError> {
     if let Some(bin) = explicit {
         return Ok(bin.to_path_buf());
     }
@@ -211,401 +53,184 @@ pub(crate) fn resolve_worker_bin(explicit: Option<&Path>) -> Result<PathBuf, Orc
     }
 }
 
-impl ShardExecutor for ProcessPoolExecutor {
-    fn name(&self) -> &'static str {
-        "process-pool"
-    }
-
-    /// Workers run in their own processes and never see the coordinator's
-    /// result cache.
-    fn shares_cache(&self) -> bool {
-        false
-    }
-
-    fn begin<'s>(
-        &self,
-        tasks: Vec<ShardTask>,
-        sink: &'s dyn RecordSink,
-    ) -> Result<Box<dyn ShardSession + 's>, OrchestratorError> {
-        if self.max_dispatch_attempts == 0 {
-            return Err(OrchestratorError::InvalidDispatchAttempts);
-        }
-        if self.max_frame_len == 0 {
-            return Err(OrchestratorError::InvalidFrameLen);
-        }
-        let bin = self.resolve_worker_bin()?;
-        let workers = (0..self.worker_procs.max(1).min(tasks.len().max(1))).map(|_| None).collect();
-        // Backoff jitter derives from the campaign seed so chaos runs
-        // replay identically (any fixed seed preserves determinism; the
-        // campaign's makes runs distinguishable in traces).
-        let backoff_seed = tasks.first().map_or(0, |task| task.config.seed);
-        Ok(Box::new(ProcessPoolSession {
-            core: SessionCore::new(tasks, sink, self.max_dispatch_attempts, self.policy),
-            bin,
-            shard_timeout: self.shard_timeout,
-            backoff_base: self.backoff_base,
-            backoff_seed,
-            faults: self.faults.clone(),
-            respawn_budget: AtomicU32::new(self.faults.respawn_failures),
-            max_frame_len: self.max_frame_len,
-            workers,
-            pool_start: Instant::now(),
-        }))
-    }
-}
-
-/// One live worker daemon: the child process, its stdin, and a channel
-/// fed by a detached reader thread draining its stdout frames.
-struct Worker {
-    child: Child,
-    stdin: ChildStdin,
-    results: Receiver<io::Result<ShardJobResult>>,
-    reaped: bool,
-}
-
-impl Worker {
-    fn spawn(bin: &Path, fault_env: Option<&str>, max_frame_len: usize) -> io::Result<Worker> {
-        let mut cmd = Command::new(bin);
-        cmd.stdin(Stdio::piped()).stdout(Stdio::piped()).stderr(Stdio::inherit());
-        group_spawn(&mut cmd);
-        if let Some(value) = fault_env {
-            cmd.env(faults::FAULT_PLAN_ENV, value);
-        }
-        if max_frame_len != MAX_FRAME_LEN {
-            cmd.arg("--max-frame-len").arg(max_frame_len.to_string());
-        }
-        let mut child = cmd.spawn()?;
-        let mut stdin = child.stdin.take().expect("stdin piped");
-        let mut stdout = child.stdout.take().expect("stdout piped");
-        // Coordinator's half of the versioned handshake; the worker's
-        // half is the first frame the reader thread sees below.
-        wire::write_frame_limited(
-            &mut stdin,
-            &WireRequest::Hello(Hello::current()),
-            max_frame_len,
-        )?;
-        let (tx, results) = std::sync::mpsc::channel();
-        // Detached reader: exits when the pipe closes (worker death or
-        // shutdown) or when the session drops the receiver. The first
-        // frame must be the worker's `Hello`; a version skew surfaces
-        // as a typed `WireError::VersionMismatch`, never a parse error.
-        std::thread::spawn(move || {
-            match wire::read_frame_limited::<WireReply, _>(&mut stdout, max_frame_len) {
-                Ok(WireReply::Hello(hello)) => {
-                    if let Err(skew) = hello.check() {
-                        let _ = tx.send(Err(skew.into()));
-                        return;
-                    }
-                }
-                Ok(_) => {
-                    let _ = tx.send(Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "protocol violation: worker's first frame was not Hello",
-                    )));
-                    return;
-                }
-                Err(e) => {
-                    let _ = tx.send(Err(e));
-                    return;
-                }
-            }
-            loop {
-                match wire::read_frame_limited::<WireReply, _>(&mut stdout, max_frame_len) {
-                    Ok(WireReply::Result(result)) => {
-                        if tx.send(Ok(*result)).is_err() {
-                            break;
-                        }
-                    }
-                    Ok(other) => {
-                        let _ = tx.send(Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("protocol violation: unexpected frame {other:?}"),
-                        )));
-                        break;
-                    }
-                    Err(e) => {
-                        let _ = tx.send(Err(e));
-                        break;
-                    }
-                }
-            }
-        });
-        Ok(Worker { child, stdin, results, reaped: false })
-    }
-
-    /// Ask the daemon to exit and give it a brief grace period; the
-    /// `Drop` kill backstops a worker that ignores the request.
-    fn shutdown(mut self) {
-        let _ = wire::write_frame(&mut self.stdin, &WireRequest::Shutdown);
-        for _ in 0..100 {
-            if matches!(self.child.try_wait(), Ok(Some(_))) {
-                self.reaped = true;
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    }
-}
-
-impl Drop for Worker {
-    fn drop(&mut self) {
-        if !self.reaped {
-            kill_group(&mut self.child);
-        }
-    }
-}
-
-struct ProcessPoolSession<'s> {
-    /// The transport-independent session half (tasks, checkpoints,
-    /// quarantine ledger, epoch folding) — see [`crate::supervisor`].
-    core: SessionCore<'s>,
+/// The worker processes a session spawned itself, one per slot, and
+/// what it needs to replace them.
+pub(crate) struct ProcessPool {
     bin: PathBuf,
-    shard_timeout: Duration,
-    backoff_base: Duration,
-    backoff_seed: u64,
+    addr: SocketAddr,
+    max_frame_len: usize,
     faults: FaultPlan,
-    /// Remaining injected spawn failures ([`FaultPlan::respawn_failures`]).
-    respawn_budget: AtomicU32,
-    max_frame_len: usize,
-    /// Worker slots; `None` until a slot's coordinator thread first needs
-    /// a daemon (and after a kill, until the respawn).
-    workers: Vec<Option<Worker>>,
-    pool_start: Instant,
-}
-
-/// The `Sync` slice of session state the dispatch threads share (the
-/// worker slots themselves are `!Sync` — each thread exclusively owns
-/// its own slot).
-struct PumpCtx<'a> {
-    core: &'a SessionCore<'a>,
-    bin: &'a Path,
-    shard_timeout: Duration,
-    backoff_base: Duration,
+    /// Injected spawn failures left to burn
+    /// ([`FaultPlan::respawn_failures`]).
+    injected_failures: u32,
     backoff_seed: u64,
-    faults: &'a FaultPlan,
-    respawn_budget: &'a AtomicU32,
-    max_frame_len: usize,
-    segments: &'a [usize],
-    last: bool,
-    pool_start: Instant,
+    slots: Vec<Slot>,
 }
 
-impl PumpCtx<'_> {
-    fn build_job(&self, job: usize, lease: u64) -> WireRequest {
-        WireRequest::Job(Box::new(self.core.build_job(job, self.segments[job], self.last, lease)))
-    }
-
-    /// Whether this spawn attempt is sacrificed to the fault plan's
-    /// injected respawn-failure budget (one branch when unarmed).
-    fn injected_spawn_failure(&self) -> bool {
-        self.faults.respawn_failures != 0
-            && self
-                .respawn_budget
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                .is_ok()
-    }
+#[derive(Default)]
+struct Slot {
+    child: Option<Child>,
+    /// Whether this slot ever spawned a worker (`first_worker` faults
+    /// ride only slot 0's first spawn).
+    spawned: bool,
+    /// Consecutive failed spawn attempts, for the backoff.
+    failures: u32,
+    /// No spawn attempt before this instant.
+    retry_at: Option<Instant>,
 }
 
-/// One worker slot's dispatch loop: pull a job, ensure a live daemon,
-/// send the frame, wait (bounded) for the answer, and translate crashes,
-/// hangs and failed spawns into kill + backoff + redispatch.
-fn pump_worker(
-    slot_index: usize,
-    slot: &mut Option<Worker>,
-    session: &PumpCtx<'_>,
-    state: &Mutex<EpochState>,
-) {
-    // Worker faults apply to slot 0's first *successful* spawn only (plus
-    // whatever `every_worker` adds to all spawns).
-    let mut first_spawn = true;
-    // Consecutive failed spawn attempts of this slot, for the backoff.
-    let mut spawn_failures: u32 = 0;
-    loop {
-        let (job, lease) = {
-            let mut state = state.lock().unwrap();
-            if state.is_settled() {
-                return;
-            }
-            match state.next_job() {
-                Some(leased) => leased,
-                None => {
-                    drop(state);
-                    std::thread::sleep(Duration::from_millis(2));
-                    continue;
-                }
-            }
+impl ProcessPool {
+    /// Spawn `procs` workers that dial `addr`. A real spawn failure here
+    /// means the transport cannot raise its workers at all —
+    /// [`OrchestratorError::WorkerUnavailable`], with any siblings
+    /// already spawned killed on the way out.
+    pub(crate) fn start(
+        executor: &RemoteWorkerExecutor,
+        addr: SocketAddr,
+        backoff_seed: u64,
+        procs: usize,
+    ) -> Result<Self, OrchestratorError> {
+        let mut pool = ProcessPool {
+            bin: resolve_worker_bin(executor.worker_bin.as_deref())?,
+            addr,
+            max_frame_len: executor.max_frame_len,
+            faults: executor.faults.clone(),
+            injected_failures: executor.faults.respawn_failures,
+            backoff_seed,
+            slots: (0..procs).map(|_| Slot::default()).collect(),
         };
-        if slot.is_none() {
-            let spawned = if session.injected_spawn_failure() {
-                Err(io::Error::other("injected respawn failure"))
-            } else {
-                let env = session.faults.worker_env(slot_index == 0 && first_spawn);
-                Worker::spawn(session.bin, env.as_deref(), session.max_frame_len)
-            };
-            match spawned {
-                Ok(worker) => {
-                    *slot = Some(worker);
-                    first_spawn = false;
-                    spawn_failures = 0;
-                }
-                Err(e) => {
-                    spawn_failures += 1;
-                    state.lock().unwrap().abandon(
-                        job,
-                        lease,
-                        format!("cannot spawn worker {}: {e}", session.bin.display()),
-                        true,
-                    );
-                    // Deterministic exponential backoff before this slot
-                    // tries to spawn again (the job itself is already
-                    // requeued for any slot to pick up).
-                    std::thread::sleep(faults::respawn_backoff(
-                        session.backoff_seed,
-                        slot_index,
-                        spawn_failures,
-                        session.backoff_base,
-                    ));
-                    continue;
-                }
+        for slot in 0..procs {
+            if let Err(Some(e)) = pool.spawn(slot) {
+                pool.slots.iter_mut().filter_map(|s| s.child.as_mut()).for_each(kill_group);
+                return Err(OrchestratorError::WorkerUnavailable(format!(
+                    "cannot spawn loopback worker {}: {e}",
+                    pool.bin.display()
+                )));
             }
         }
-        let worker = slot.as_mut().expect("worker spawned");
-        let telemetry = &session.core.tasks[job].telemetry;
-        telemetry.observe(keys::QUEUE_WAIT, session.pool_start.elapsed());
-        let span = telemetry.span(keys::SPAN_SHARD_RUN);
-        let request = session.build_job(job, lease);
-        let answer =
-            match wire::write_frame_limited(&mut worker.stdin, &request, session.max_frame_len) {
-                Err(e) => Err(format!("write to worker failed: {e}")),
-                Ok(()) => match worker.results.recv_timeout(session.shard_timeout) {
-                    Ok(Ok(result)) if result.index == session.core.tasks[job].spec.index => {
-                        Ok(result)
-                    }
-                    Ok(Ok(result)) => {
-                        Err(format!("protocol violation: answer for shard {}", result.index))
-                    }
-                    Ok(Err(e)) => Err(format!("worker died: {e}")),
-                    Err(RecvTimeoutError::Timeout) => Err(format!(
-                        "shard timeout after {:.1}s",
-                        session.shard_timeout.as_secs_f64()
-                    )),
-                    Err(RecvTimeoutError::Disconnected) => Err("worker stream closed".into()),
-                },
-            };
-        drop(span);
-        match answer {
-            Ok(result) => {
-                // One job in flight per pipe worker, so the lease is
-                // always still live here (the return value only matters
-                // to the socket transport's late-answer path).
-                let _ = state.lock().unwrap().complete(job, lease, result);
+        Ok(pool)
+    }
+
+    /// One spawn attempt for `slot`. A failure — `Err(None)` for an
+    /// injected one, `Err(Some(_))` for a real one — backs the slot off
+    /// before its next attempt.
+    fn spawn(&mut self, slot: usize) -> Result<(), Option<io::Error>> {
+        let first_spawn_of_slot0 = slot == 0 && !self.slots[slot].spawned;
+        let spawned = if self.injected_failures > 0 {
+            self.injected_failures -= 1;
+            Err(None)
+        } else {
+            let mut cmd = Command::new(&self.bin);
+            cmd.arg("--connect")
+                .arg(self.addr.to_string())
+                .arg("--reconnect")
+                .arg("64")
+                .arg("--reconnect-delay-ms")
+                .arg("50")
+                .stdin(Stdio::null())
+                .stdout(Stdio::null())
+                .stderr(Stdio::inherit());
+            if self.max_frame_len != MAX_FRAME_LEN {
+                cmd.arg("--max-frame-len").arg(self.max_frame_len.to_string());
             }
-            Err(why) => {
-                // Kill the whole process group (the worker may have
-                // compiler children) and let the slot respawn lazily.
-                if let Some(mut dead) = slot.take() {
-                    kill_group(&mut dead.child);
-                    dead.reaped = true;
-                }
-                state.lock().unwrap().abandon(job, lease, why, false);
+            // Job ordinals count across the process's reconnects, so
+            // "drop at job 1, then heal" stays deterministic.
+            if let Some(value) = self.faults.worker_env(first_spawn_of_slot0) {
+                cmd.env(faults::FAULT_PLAN_ENV, value);
+            }
+            group_spawn(&mut cmd);
+            cmd.spawn().map_err(Some)
+        };
+        let state = &mut self.slots[slot];
+        match spawned {
+            Ok(child) => {
+                state.child = Some(child);
+                state.spawned = true;
+                state.failures = 0;
+                Ok(())
+            }
+            Err(e) => {
+                state.failures += 1;
+                state.retry_at = Some(
+                    Instant::now()
+                        + faults::respawn_backoff(
+                            self.backoff_seed,
+                            slot,
+                            state.failures,
+                            DEFAULT_RESPAWN_BACKOFF,
+                        ),
+                );
+                Err(e)
             }
         }
     }
-}
 
-impl ProcessPoolSession<'_> {
-    /// Barrier liveness sweep: clear slots whose daemon died between
-    /// epochs (crash after answering, external kill), so dispatch
-    /// respawns them immediately instead of burning a dispatch attempt
-    /// on a broken pipe.
-    fn sweep_dead_workers(&mut self) {
-        for slot in self.workers.iter_mut() {
-            let dead = matches!(slot.as_mut().map(|w| w.child.try_wait()), Some(Ok(Some(_))));
-            if dead {
-                let mut worker = slot.take().expect("slot checked non-empty");
-                // Already exited — nothing to kill, nothing to reap.
-                worker.reaped = true;
+    /// Kill the workers whose pids were retired for silence, forget the
+    /// ones that exited, and respawn every empty slot whose backoff is
+    /// over. Never after shutdown has begun.
+    pub(crate) fn supervise(&mut self, shutdown: &AtomicBool, silenced: &Mutex<Vec<u32>>) {
+        if shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        let silenced = std::mem::take(&mut *silenced.lock().unwrap());
+        let now = Instant::now();
+        for slot in 0..self.slots.len() {
+            let state = &mut self.slots[slot];
+            if let Some(child) = state.child.as_mut() {
+                if silenced.contains(&child.id()) {
+                    kill_group(child);
+                    state.child = None;
+                } else if matches!(child.try_wait(), Ok(Some(_))) {
+                    state.child = None;
+                }
+            }
+            if state.child.is_none() && state.retry_at.map_or(true, |at| now >= at) {
+                let _ = self.spawn(slot);
             }
         }
     }
-}
 
-impl ShardSession for ProcessPoolSession<'_> {
-    fn run_epoch(
-        &mut self,
-        segments: &[usize],
-        last: bool,
-    ) -> Result<Vec<Vec<String>>, OrchestratorError> {
-        debug_assert_eq!(segments.len(), self.core.tasks.len());
-        self.sweep_dead_workers();
-        let state = Mutex::new(self.core.epoch_state());
-        {
-            // Split-borrow: each dispatch thread exclusively owns its
-            // worker slot; everything else is shared read-only.
-            let ctx = PumpCtx {
-                core: &self.core,
-                bin: &self.bin,
-                shard_timeout: self.shard_timeout,
-                backoff_base: self.backoff_base,
-                backoff_seed: self.backoff_seed,
-                faults: &self.faults,
-                respawn_budget: &self.respawn_budget,
-                max_frame_len: self.max_frame_len,
-                segments,
-                last,
-                pool_start: self.pool_start,
-            };
-            let ctx = &ctx;
-            let state = &state;
-            std::thread::scope(|scope| {
-                for (slot_index, slot) in self.workers.iter_mut().enumerate() {
-                    scope.spawn(move || pump_worker(slot_index, slot, ctx, state));
-                }
-            });
+    /// Give the workers (already sent `Shutdown`) a grace window to exit
+    /// cleanly, then kill the stragglers.
+    pub(crate) fn shutdown(&mut self) {
+        let deadline = Instant::now() + Duration::from_secs(3);
+        let mut live: Vec<Child> = self.slots.iter_mut().filter_map(|s| s.child.take()).collect();
+        while !live.is_empty() && Instant::now() < deadline {
+            live.retain_mut(|child| !matches!(child.try_wait(), Ok(Some(_))));
+            if !live.is_empty() {
+                thread::sleep(Duration::from_millis(10));
+            }
         }
-        let state = state.into_inner().unwrap();
-        self.core.fold_epoch(state, last)
-    }
-
-    fn inject(&mut self, pools: &[&[String]]) -> Result<(), OrchestratorError> {
-        self.core.inject(pools)
-    }
-
-    fn checkpoints(&mut self) -> Result<Vec<Option<RunnerCheckpoint>>, OrchestratorError> {
-        self.core.checkpoints()
-    }
-
-    fn finish(mut self: Box<Self>) -> Result<SessionOutcome, OrchestratorError> {
-        for worker in self.workers.iter_mut().filter_map(Option::take) {
-            worker.shutdown();
+        for child in live.iter_mut() {
+            kill_group(child);
         }
-        self.core.outcome()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::{NullSink, ShardExecutor};
+    use crate::RemoteWorkerExecutor;
 
     #[test]
     fn missing_worker_binary_is_a_clean_error() {
-        let executor = ProcessPoolExecutor::new(2).with_worker_bin("/nonexistent/llm4fp-worker");
-        // Resolution succeeds (the path is pinned); the spawn inside the
-        // first epoch fails and surfaces as `WorkerUnavailable` — covered
-        // by the integration tests. Here: the pinned resolver hands the
-        // path through untouched.
-        assert_eq!(
-            executor.resolve_worker_bin().unwrap(),
-            PathBuf::from("/nonexistent/llm4fp-worker")
-        );
+        // Resolution succeeds (the path is pinned); the spawn at session
+        // start fails and surfaces as `WorkerUnavailable` — covered by the
+        // integration tests. Here: the pinned resolver hands the path
+        // through untouched.
+        let pinned = Path::new("/nonexistent/llm4fp-worker");
+        assert_eq!(resolve_worker_bin(Some(pinned)).unwrap(), pinned);
     }
 
     #[test]
     fn zero_dispatch_attempts_is_rejected_at_begin() {
-        let executor = ProcessPoolExecutor::new(1)
+        // Validation precedes the pool: a zero budget is refused before
+        // any worker is spawned (so the dead binary never matters).
+        let executor = RemoteWorkerExecutor::new(1)
             .with_worker_bin("/nonexistent/llm4fp-worker")
             .max_dispatch_attempts(0);
-        let err = match executor.begin(Vec::new(), &crate::executor::NullSink) {
+        let err = match executor.begin(Vec::new(), &NullSink) {
             Ok(_) => panic!("begin must reject a zero dispatch budget"),
             Err(err) => err,
         };
@@ -614,10 +239,10 @@ mod tests {
 
     #[test]
     fn zero_max_frame_len_is_rejected_at_begin() {
-        let executor = ProcessPoolExecutor::new(1)
+        let executor = RemoteWorkerExecutor::new(1)
             .with_worker_bin("/nonexistent/llm4fp-worker")
             .with_max_frame_len(0);
-        let err = match executor.begin(Vec::new(), &crate::executor::NullSink) {
+        let err = match executor.begin(Vec::new(), &NullSink) {
             Ok(_) => panic!("begin must reject a zero frame cap"),
             Err(err) => err,
         };

@@ -43,8 +43,9 @@
 //!   window passed without an answer, or a heartbeat was missed) has its
 //!   process group killed first. A worker that merely dropped its
 //!   connection is left alone to redial. A failed spawn backs its slot
-//!   off by the deterministic [`faults::respawn_backoff`] and costs no
-//!   job a dispatch attempt.
+//!   off by the deterministic [`crate::faults::respawn_backoff`] and
+//!   costs no job a dispatch attempt. (The processes themselves are
+//!   managed by the crate-private `process_pool` module.)
 //! * **Worker starvation** — an epoch with no connected workers for
 //!   [`with_worker_wait`](RemoteWorkerExecutor::with_worker_wait)
 //!   surfaces [`OrchestratorError::WorkerUnavailable`], the trigger for
@@ -61,8 +62,7 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex};
@@ -70,14 +70,14 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use llm4fp::RunnerCheckpoint;
-use llm4fp_extcc::{group_spawn, kill_group};
 use llm4fp_telemetry::{keys, Telemetry};
 
 use crate::executor::{
     FailurePolicy, OrchestratorError, RecordSink, SessionOutcome, ShardExecutor, ShardSession,
     ShardTask,
 };
-use crate::faults::{self, FaultPlan};
+use crate::faults::FaultPlan;
+use crate::process_pool::ProcessPool;
 use crate::supervisor::{EpochFailure, EpochState, SessionCore};
 use crate::wire::{self, Hello, ShardJob, ShardJobResult, WireReply, WireRequest, MAX_FRAME_LEN};
 
@@ -87,7 +87,7 @@ use crate::wire::{self, Hello, ShardJob, ShardJobResult, WireReply, WireRequest,
 pub const MAX_DISPATCH_ATTEMPTS: u8 = 3;
 
 /// Base delay of the deterministic exponential backoff between failed
-/// spawn attempts of one worker slot (see [`faults::respawn_backoff`]).
+/// spawn attempts of one worker slot (see [`crate::faults::respawn_backoff`]).
 pub const DEFAULT_RESPAWN_BACKOFF: Duration = Duration::from_millis(25);
 
 /// Environment variable overriding the worker binary path (useful for
@@ -108,14 +108,14 @@ const TICK: Duration = Duration::from_millis(50);
 pub struct RemoteWorkerExecutor {
     listen_addr: String,
     worker_procs: usize,
-    worker_bin: Option<PathBuf>,
+    pub(crate) worker_bin: Option<PathBuf>,
     lease_timeout: Duration,
     heartbeat: Duration,
     worker_wait: Duration,
     max_dispatch_attempts: u8,
     policy: FailurePolicy,
-    faults: FaultPlan,
-    max_frame_len: usize,
+    pub(crate) faults: FaultPlan,
+    pub(crate) max_frame_len: usize,
     /// The address actually bound at [`begin`](ShardExecutor::begin)
     /// (resolves `:0` to the kernel-assigned port), shared across clones
     /// so callers can tell external workers where to dial.
@@ -211,7 +211,7 @@ impl RemoteWorkerExecutor {
 
     /// Arm a deterministic [`FaultPlan`]: worker faults and worker-side
     /// [`network`](FaultPlan::network) faults ship to slot 0's first
-    /// spawned worker via [`faults::FAULT_PLAN_ENV`] (`every_worker`
+    /// spawned worker via [`crate::faults::FAULT_PLAN_ENV`] (`every_worker`
     /// faults to every spawn), `respawn_failures` fail the first spawn
     /// attempts, and
     /// [`RefuseHandshake`](crate::faults::NetworkFault::RefuseHandshake)
@@ -239,38 +239,6 @@ impl RemoteWorkerExecutor {
     /// this is where external workers must dial.
     pub fn bound_addr(&self) -> Option<SocketAddr> {
         *self.bound.lock().unwrap()
-    }
-}
-
-/// Resolve the `llm4fp-worker` binary: the explicit override, then
-/// [`WORKER_BIN_ENV`], then `llm4fp-worker` next to the current
-/// executable.
-fn resolve_worker_bin(explicit: Option<&Path>) -> Result<PathBuf, OrchestratorError> {
-    if let Some(bin) = explicit {
-        return Ok(bin.to_path_buf());
-    }
-    if let Some(bin) = std::env::var_os(WORKER_BIN_ENV) {
-        return Ok(PathBuf::from(bin));
-    }
-    let exe = std::env::current_exe().map_err(|e| {
-        OrchestratorError::WorkerUnavailable(format!("cannot locate current executable: {e}"))
-    })?;
-    let mut dir = exe.parent().unwrap_or_else(|| Path::new(".")).to_path_buf();
-    // Test binaries live in target/<profile>/deps/; the worker bin
-    // sits one level up in target/<profile>/.
-    if dir.file_name().is_some_and(|name| name == "deps") {
-        dir.pop();
-    }
-    let bin = dir.join(format!("llm4fp-worker{}", std::env::consts::EXE_SUFFIX));
-    if bin.exists() {
-        Ok(bin)
-    } else {
-        Err(OrchestratorError::WorkerUnavailable(format!(
-            "worker binary not found at {} (build it with `cargo build -p \
-             llm4fp-orchestrator --bin llm4fp-worker`, set {WORKER_BIN_ENV}, or use \
-             with_worker_bin)",
-            bin.display()
-        )))
     }
 }
 
@@ -340,152 +308,9 @@ impl ShardExecutor for RemoteWorkerExecutor {
             pool_start: Instant::now(),
         };
         if procs > 0 {
-            let children = session.children.insert(Children {
-                bin: resolve_worker_bin(self.worker_bin.as_deref())?,
-                addr,
-                max_frame_len: self.max_frame_len,
-                faults: self.faults.clone(),
-                injected_failures: self.faults.respawn_failures,
-                backoff_seed,
-                slots: (0..procs).map(|_| ChildSlot::default()).collect(),
-            });
-            for slot in 0..procs {
-                // A real spawn failure at session start means the
-                // transport cannot raise its workers at all. (`session`
-                // drops on the way out: listener closed, any
-                // already-spawned siblings reaped.)
-                if let Err(Some(e)) = children.spawn(slot) {
-                    return Err(OrchestratorError::WorkerUnavailable(format!(
-                        "cannot spawn loopback worker {}: {e}",
-                        children.bin.display()
-                    )));
-                }
-            }
+            session.children = Some(ProcessPool::start(self, addr, backoff_seed, procs)?);
         }
         Ok(Box::new(session))
-    }
-}
-
-/// The worker processes a session spawned itself, one per slot, and
-/// what it needs to replace them.
-struct Children {
-    bin: PathBuf,
-    addr: SocketAddr,
-    max_frame_len: usize,
-    faults: FaultPlan,
-    /// Injected spawn failures left to burn
-    /// ([`FaultPlan::respawn_failures`]).
-    injected_failures: u32,
-    backoff_seed: u64,
-    slots: Vec<ChildSlot>,
-}
-
-#[derive(Default)]
-struct ChildSlot {
-    child: Option<Child>,
-    /// Whether this slot ever spawned a worker (`first_worker` faults
-    /// ride only slot 0's first spawn).
-    spawned: bool,
-    /// Consecutive failed spawn attempts, for the backoff.
-    failures: u32,
-    /// No spawn attempt before this instant.
-    retry_at: Option<Instant>,
-}
-
-impl Children {
-    /// One spawn attempt for `slot`. A failure — `Err(None)` for an
-    /// injected one, `Err(Some(_))` for a real one — backs the slot off
-    /// before its next attempt.
-    fn spawn(&mut self, slot: usize) -> Result<(), Option<io::Error>> {
-        let first_spawn_of_slot0 = slot == 0 && !self.slots[slot].spawned;
-        let spawned = if self.injected_failures > 0 {
-            self.injected_failures -= 1;
-            Err(None)
-        } else {
-            let mut cmd = Command::new(&self.bin);
-            cmd.arg("--connect")
-                .arg(self.addr.to_string())
-                .arg("--reconnect")
-                .arg("64")
-                .arg("--reconnect-delay-ms")
-                .arg("50")
-                .stdin(Stdio::null())
-                .stdout(Stdio::null())
-                .stderr(Stdio::inherit());
-            if self.max_frame_len != MAX_FRAME_LEN {
-                cmd.arg("--max-frame-len").arg(self.max_frame_len.to_string());
-            }
-            // Job ordinals count across the process's reconnects, so
-            // "drop at job 1, then heal" stays deterministic.
-            if let Some(value) = self.faults.worker_env(first_spawn_of_slot0) {
-                cmd.env(faults::FAULT_PLAN_ENV, value);
-            }
-            group_spawn(&mut cmd);
-            cmd.spawn().map_err(Some)
-        };
-        let state = &mut self.slots[slot];
-        match spawned {
-            Ok(child) => {
-                state.child = Some(child);
-                state.spawned = true;
-                state.failures = 0;
-                Ok(())
-            }
-            Err(e) => {
-                state.failures += 1;
-                state.retry_at = Some(
-                    Instant::now()
-                        + faults::respawn_backoff(
-                            self.backoff_seed,
-                            slot,
-                            state.failures,
-                            DEFAULT_RESPAWN_BACKOFF,
-                        ),
-                );
-                Err(e)
-            }
-        }
-    }
-
-    /// Kill the children whose connections went silent, forget the ones
-    /// that exited, and respawn every empty slot whose backoff is over.
-    /// Never after shutdown has begun.
-    fn supervise(&mut self, shared: &Shared) {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let silenced = std::mem::take(&mut *shared.silenced.lock().unwrap());
-        let now = Instant::now();
-        for slot in 0..self.slots.len() {
-            let state = &mut self.slots[slot];
-            if let Some(child) = state.child.as_mut() {
-                if silenced.contains(&child.id()) {
-                    kill_group(child);
-                    state.child = None;
-                } else if matches!(child.try_wait(), Ok(Some(_))) {
-                    state.child = None;
-                }
-            }
-            if state.child.is_none() && state.retry_at.map_or(true, |at| now >= at) {
-                let _ = self.spawn(slot);
-            }
-        }
-    }
-
-    /// Give the children (already sent `Shutdown`) a grace window to
-    /// exit cleanly, then kill the stragglers.
-    fn shutdown(&mut self) {
-        let deadline = Instant::now() + Duration::from_secs(3);
-        let mut live: Vec<Child> = self.slots.iter_mut().filter_map(|s| s.child.take()).collect();
-        while !live.is_empty() && Instant::now() < deadline {
-            live.retain_mut(|child| !matches!(child.try_wait(), Ok(Some(_))));
-            if !live.is_empty() {
-                thread::sleep(Duration::from_millis(10));
-            }
-        }
-        for child in live.iter_mut() {
-            kill_group(child);
-        }
     }
 }
 
@@ -596,9 +421,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 let shared = Arc::clone(shared);
                 thread::spawn(move || drive_connection(stream, &shared));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(25));
-            }
+            // Nothing pending (`WouldBlock`) or a transient accept error.
             Err(_) => thread::sleep(Duration::from_millis(25)),
         }
     }
@@ -674,8 +497,7 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
         return;
     }
     let _ = writer.set_read_timeout(None);
-    let Ok(socket_guard) = writer.try_clone().map(SocketGuard) else { return };
-    let _socket_guard = socket_guard;
+    let Ok(_socket_guard) = writer.try_clone().map(SocketGuard) else { return };
     shared.workers_live.fetch_add(1, Ordering::SeqCst);
     shared.cv.notify_all();
     let _live = LiveGuard(shared);
@@ -684,16 +506,10 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
     // socket closes (worker death, SocketGuard) or the driver drops `rx`.
     let (tx, rx) = mpsc::channel::<io::Result<WireReply>>();
     thread::spawn(move || loop {
-        match wire::read_frame_limited::<WireReply, _>(&mut reader_stream, max) {
-            Ok(frame) => {
-                if tx.send(Ok(frame)).is_err() {
-                    break;
-                }
-            }
-            Err(e) => {
-                let _ = tx.send(Err(e));
-                break;
-            }
+        let frame = wire::read_frame_limited::<WireReply, _>(&mut reader_stream, max);
+        let failed = frame.is_err();
+        if tx.send(frame).is_err() || failed {
+            break;
         }
     });
     let mut sent: Vec<Dispatch> = Vec::new();
@@ -777,6 +593,10 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
             }
             match rx.recv_timeout(left) {
                 Ok(Ok(WireReply::Result(result))) if result.lease == lease => {
+                    if result.index != shard {
+                        let why = format!("protocol violation: answer for shard {}", result.index);
+                        break Verdict::Dead(why);
+                    }
                     break Verdict::Answered(result);
                 }
                 // A duplicate (or an even later straggler): route it to
@@ -796,19 +616,7 @@ fn drive_connection(stream: TcpStream, shared: &Shared) {
         };
         drop(span);
         match verdict {
-            Verdict::Answered(result) => {
-                if result.index != shard {
-                    abandon(
-                        shared,
-                        epoch_id,
-                        job,
-                        lease,
-                        format!("protocol violation: answer for shard {}", result.index),
-                    );
-                    return;
-                }
-                settle(shared, epoch_id, job, lease, *result);
-            }
+            Verdict::Answered(result) => settle(shared, epoch_id, job, lease, *result),
             Verdict::LeaseExpired => {
                 // The lease dies first — the job re-dispatches right away
                 // — then the connection gets one more lease-length window
@@ -854,7 +662,7 @@ struct RemoteSession<'s> {
     acceptor: Option<thread::JoinHandle<()>>,
     /// Self-spawned loopback worker daemons (`None` with external
     /// workers only).
-    children: Option<Children>,
+    children: Option<ProcessPool>,
     addr: SocketAddr,
     worker_wait: Duration,
     pool_start: Instant,
@@ -909,7 +717,7 @@ impl ShardSession for RemoteSession<'_> {
         // threads settle the epoch, supervising the self-spawned workers
         // at the start and then at most once per tick.
         if let Some(children) = self.children.as_mut() {
-            children.supervise(&self.shared);
+            children.supervise(&self.shared.shutdown, &self.shared.silenced);
         }
         let mut starving_since = Instant::now();
         let mut supervised = Instant::now();
@@ -935,7 +743,7 @@ impl ShardSession for RemoteSession<'_> {
             }
             if supervised.elapsed() >= TICK {
                 if let Some(children) = self.children.as_mut() {
-                    children.supervise(&self.shared);
+                    children.supervise(&self.shared.shutdown, &self.shared.silenced);
                 }
                 supervised = Instant::now();
             }
@@ -982,10 +790,6 @@ mod tests {
         assert_eq!(RemoteWorkerExecutor::new(0).name(), "remote");
         assert!(!RemoteWorkerExecutor::new(0).shares_cache());
         assert_eq!(RemoteWorkerExecutor::new(0).bound_addr(), None);
-        // A pinned worker binary is handed through untouched; whether it
-        // spawns is the session's problem (see the integration tests).
-        let pinned = Path::new("/nonexistent/llm4fp-worker");
-        assert_eq!(resolve_worker_bin(Some(pinned)).unwrap(), pinned);
     }
 
     #[test]

@@ -191,11 +191,10 @@ impl EpochState {
                     self.remaining -= 1;
                 }
             }
-            self.last_error[job] = Some(why);
         } else {
-            self.last_error[job] = Some(why);
             self.queue.push_front(job);
         }
+        self.last_error[job] = Some(why);
     }
 }
 

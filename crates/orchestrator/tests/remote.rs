@@ -1,18 +1,17 @@
-//! The out-of-process transport's load-bearing guarantee, exercised
-//! against real `llm4fp-worker --connect` daemons dialing a loopback
-//! coordinator: a remote run is bit-identical to the in-process run for
-//! any `(K, E, worker_procs)` — including under every worker and
-//! [`NetworkFault`] in Abort mode (a fault may cost time, never bits),
-//! with a single worker whose crashed or silenced process must be
-//! respawned, after a mid-epoch disconnect-reconnect-resume, and when
-//! deadline leases expire and the late answers arrive anyway (discarded
-//! by lease generation, never merged). Poisonous shards abort or are
-//! quarantined per policy, and an unreachable transport degrades to
-//! in-process execution. The handshake half pins the version contract
-//! from both ends: a skewed `Hello` is refused in words — never
-//! undefined framing.
+//! The socket transport's load-bearing guarantee, exercised against real
+//! `llm4fp-worker --connect` daemons dialing a loopback coordinator: a
+//! remote run is bit-identical to the in-process run for any
+//! `(K, E, worker_procs)` — including under every [`NetworkFault`]
+//! variant in Abort mode (a fault may cost time, never bits), after a
+//! mid-epoch disconnect-reconnect-resume, and when deadline leases
+//! expire and the late answers arrive anyway (discarded by lease
+//! generation, never merged). The handshake half pins the version
+//! contract: a skewed `Hello` is refused in words — a typed
+//! [`WireRequest::Refuse`] — never undefined framing. (The worker
+//! processes the coordinator spawns and replaces itself are exercised
+//! in `tests/process_pool.rs`.)
 
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::sync::Arc;
@@ -21,9 +20,8 @@ use std::time::{Duration, Instant};
 use llm4fp::{ApproachKind, CampaignConfig, CampaignResult};
 use llm4fp_orchestrator::wire::{read_frame, write_frame, WireReply, WireRequest};
 use llm4fp_orchestrator::{
-    FailurePolicy, FaultPlan, Hello, NetworkFault, NullSink, OrchestratedResult, Orchestrator,
-    OrchestratorError, OrchestratorOptions, RemoteWorkerExecutor, Scheduler, ShardExecutor,
-    WorkerFault, PROTOCOL_VERSION,
+    FaultPlan, Hello, NetworkFault, NullSink, OrchestratedResult, Orchestrator, OrchestratorError,
+    RemoteWorkerExecutor, ShardExecutor, PROTOCOL_VERSION,
 };
 use llm4fp_telemetry::TelemetrySpec;
 
@@ -81,22 +79,6 @@ fn assert_results_identical(a: &CampaignResult, b: &CampaignResult, what: &str) 
 
 #[test]
 fn remote_loopback_matches_in_process_bit_for_bit() {
-    // The suite scheduler goes through the same seam: a multi-campaign
-    // suite on remote workers matches the in-process suite campaign for
-    // campaign, and reports no cache stats (workers cannot share the
-    // coordinator's in-memory cache).
-    let configs: Vec<CampaignConfig> =
-        [ApproachKind::Varity, ApproachKind::Llm4Fp].iter().map(|&a| config(a, 12, 8)).collect();
-    let options = OrchestratorOptions { workers: 2, epochs: 2, ..Default::default() };
-    let reference = Scheduler::new(options.clone()).shards(2).run(&configs).unwrap();
-    let remoted =
-        Scheduler::new(options).shards(2).executor(Arc::new(remote(3))).run(&configs).unwrap();
-    assert_eq!(remoted.len(), reference.len());
-    for (r, i) in remoted.iter().zip(&reference) {
-        assert_results_identical(&r.result, &i.result, "suite on remote workers");
-        assert!(r.stats.cache.is_none(), "no shared-cache stats out of process");
-    }
-
     let config = config(ApproachKind::Llm4Fp, 24, 7);
     for epochs in [1usize, 3] {
         let reference = in_process(&config, 4, epochs);
@@ -154,87 +136,6 @@ fn every_network_fault_heals_bit_identically_in_abort_mode() {
     }
 }
 
-/// A plan faulting only worker slot 0's first spawn — the redispatch-
-/// equivalence shape: the fault fires once and recovery heals it.
-fn first_worker_plan(fault: WorkerFault) -> FaultPlan {
-    FaultPlan { first_worker: vec![fault], ..FaultPlan::default() }
-}
-
-#[test]
-fn every_worker_fault_heals_bit_identically_at_one_and_two_workers() {
-    // Slot 0's first worker process crashes, stalls past its lease,
-    // answers with a corrupt or truncated frame, or is preceded by a
-    // failed spawn. With a single worker there is no healthy sibling to
-    // take over: the run finishes only if the coordinator replaces its
-    // own worker — respawning the dead one, killing the silent one first
-    // — and the replacement runs without the fault.
-    let config = config(ApproachKind::Llm4Fp, 12, 5);
-    let reference = in_process(&config, 3, 2);
-    let crash = first_worker_plan(WorkerFault::CrashAtJob(1));
-    let plans = [
-        ("crash", crash.clone(), None),
-        ("stall", first_worker_plan(WorkerFault::StallMs(60_000)), Some(500)),
-        ("corrupt", first_worker_plan(WorkerFault::CorruptFrameAtJob(1)), None),
-        ("truncate", first_worker_plan(WorkerFault::TruncateFrameAtJob(1)), None),
-        ("respawn", FaultPlan { respawn_failures: 1, ..crash }, None),
-    ];
-    for worker_procs in [1usize, 2] {
-        for (what, plan, lease_ms) in &plans {
-            let what = format!("{what} procs={worker_procs}");
-            let mut chaotic = remote(worker_procs).with_fault_plan(plan.clone());
-            if let Some(ms) = lease_ms {
-                chaotic = chaotic.with_lease_timeout(Duration::from_millis(*ms));
-            }
-            let survived = on_remote(&config, 3, 2, chaotic);
-            assert_results_identical(&survived.result, &reference.result, &what);
-            assert!(survived.stats.failures.is_empty(), "{what}: healed, not quarantined");
-        }
-    }
-}
-
-#[test]
-fn poisonous_shards_abort_or_quarantine_per_policy() {
-    // `every_worker` poison survives respawns: every worker process that
-    // receives shard 1 crashes, so its job exhausts the dispatch budget.
-    // Abort (the default) fails the run with a typed error naming the
-    // job; Quarantine completes the campaign on shards 0 and 2 and
-    // reports the casualty instead of sinking the run.
-    let config = config(ApproachKind::Varity, 12, 23);
-    let poisoned = || {
-        remote(2).with_fault_plan(FaultPlan {
-            every_worker: vec![WorkerFault::CrashOnShard(1)],
-            ..FaultPlan::default()
-        })
-    };
-    let err = Orchestrator::new(config.clone())
-        .shards(3)
-        .executor(Arc::new(poisoned()))
-        .run()
-        .expect_err("a shard that can never complete must abort the run");
-    assert!(matches!(err, OrchestratorError::Executor(_)), "got {err}");
-    assert!(err.to_string().contains("failed 3 time(s)"), "{err}");
-
-    let survived = Orchestrator::new(config.clone())
-        .shards(3)
-        .executor(Arc::new(poisoned().on_shard_failure(FailurePolicy::Quarantine)))
-        .run()
-        .expect("quarantine completes the run");
-    assert_eq!(survived.stats.failures.len(), 1, "exactly one shard was lost");
-    let report = &survived.stats.failures[0];
-    assert_eq!(report.shard, 1);
-    assert_eq!(report.attempts, 3, "the full dispatch budget was spent");
-    assert!(!report.last_error.is_empty(), "the last error is preserved");
-    assert!(
-        survived.result.records.len() < in_process(&config, 3, 1).result.records.len(),
-        "a quarantined run is visibly partial, never silently complete"
-    );
-    assert!(
-        survived.stats.summary_line().contains("quarantined"),
-        "stats advertise the quarantine: {}",
-        survived.stats.summary_line()
-    );
-}
-
 #[test]
 fn mid_epoch_disconnect_reconnects_and_resumes_bit_identically() {
     // The single worker drops its connection upon receiving its second
@@ -282,7 +183,7 @@ fn metrics_json_is_byte_identical_on_the_remote_transport() {
     // The deterministic flight recorder must not betray the transport:
     // telemetry counters shipped home over TCP merge into the exact
     // bytes the in-process run writes — the witness the CI remote-worker
-    // job pins with cmp across all three executors.
+    // job pins with cmp across both executors.
     let config = config(ApproachKind::Llm4Fp, 18, 9);
     let mut reference: Option<String> = None;
     let executors: [Option<RemoteWorkerExecutor>; 2] = [None, Some(remote(3))];
@@ -392,43 +293,6 @@ fn version_skewed_handshake_is_refused_in_words() {
         other => panic!("expected the coordinator's Hello, got {other:?}"),
     }
     drop(session);
-
-    // The worker's side of the contract: it opens with a Hello naming
-    // its own process, exits clean after a current Hello and Shutdown,
-    // and refuses a coordinator from the future in words (exit 2, the
-    // disagreeing field named on stderr) — never a hang or a parse error.
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind a stand-in coordinator");
-    let addr = listener.local_addr().expect("bound address");
-    let serve_worker = |answer: Hello| {
-        let child = Command::new(worker_bin())
-            .args(["--connect", &addr.to_string(), "--reconnect", "0"])
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawn worker");
-        let (mut stream, _) = listener.accept().expect("worker dials in");
-        match read_frame::<WireReply, _>(&mut stream).expect("worker's opening frame") {
-            WireReply::Hello(hello) => {
-                assert!(hello.check().is_ok(), "worker advertises this build's versions");
-                assert_eq!(hello.pid, child.id(), "worker's Hello names its process");
-            }
-            other => panic!("worker's first frame was not Hello: {other:?}"),
-        }
-        write_frame(&mut stream, &WireRequest::Hello(answer)).expect("answer the handshake");
-        // A refusing worker may already be gone; this write can fail.
-        let _ = write_frame(&mut stream, &WireRequest::Shutdown);
-        child.wait_with_output().expect("worker exit")
-    };
-    let out = serve_worker(Hello::current());
-    assert_eq!(out.status.code(), Some(0), "matched handshake exits clean");
-    let out = serve_worker(Hello { protocol: PROTOCOL_VERSION + 1, ..Hello::current() });
-    assert_eq!(out.status.code(), Some(2), "version skew is a refusal, not a crash");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("version mismatch") && stderr.contains("protocol"),
-        "stderr names the disagreeing field: {stderr}"
-    );
 }
 
 #[test]
@@ -459,22 +323,8 @@ fn unspawnable_loopback_workers_are_worker_unavailable() {
     // Self-spawned mode with a dead binary path: the transport cannot
     // raise its own workers, which is the WorkerUnavailable class (and
     // the session must tear the listener down on the way out).
-    let config = config(ApproachKind::Llm4Fp, 16, 29);
-    let doomed = || RemoteWorkerExecutor::new(2).with_worker_bin("/nonexistent/llm4fp-worker");
-    let err =
-        Orchestrator::new(config.clone()).shards(3).executor(Arc::new(doomed())).run().unwrap_err();
+    let config = config(ApproachKind::Varity, 4, 1);
+    let executor = RemoteWorkerExecutor::new(1).with_worker_bin("/nonexistent/llm4fp-worker");
+    let err = Orchestrator::new(config).shards(2).executor(Arc::new(executor)).run().unwrap_err();
     assert!(matches!(err, OrchestratorError::WorkerUnavailable(_)), "got {err}");
-    // The bottom rung of the degradation ladder: with the fallback
-    // opt-in the run completes in process, bit-identically (the
-    // determinism contract is transport-independent).
-    let reference = in_process(&config, 3, 2);
-    let degraded = Orchestrator::new(config)
-        .shards(3)
-        .epochs(2)
-        .executor(Arc::new(doomed()))
-        .fallback_to_in_process(true)
-        .run()
-        .expect("fallback completes the run in process");
-    assert!(degraded.stats.fell_back_to_in_process, "stats record the degradation");
-    assert_results_identical(&degraded.result, &reference.result, "in-process fallback");
 }
