@@ -17,13 +17,17 @@
 //! `telemetry_overhead` prices the observability layer on a sharded
 //! campaign: telemetry off (the gated disabled path — every recording
 //! call must stay one `None` branch), metrics mode and full trace mode.
+//! `codec` prices the vendored JSON codec on the two largest payloads a
+//! campaign moves: the result frame of a 400-program shard and that
+//! shard's checkpoint after the third of four epochs. Every remote job
+//! and every resume decodes payloads like these.
 //!
 //! All groups are saved into the CI bench-regression baseline
 //! (`BENCH_hotpath.json`) and gated by `bench_compare`, so a slowdown on
 //! the sealed path fails the PR.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use llm4fp::{ApproachKind, CampaignConfig};
+use llm4fp::{ApproachKind, CampaignConfig, RunnerCheckpoint, SuccessfulSet};
 use llm4fp_compiler::interp::DEFAULT_FUEL;
 use llm4fp_compiler::{
     compile, CompiledProgram, CompilerConfig, CompilerId, ExecScratch, Frontend, OptLevel,
@@ -32,7 +36,8 @@ use llm4fp_compiler::{
 use llm4fp_difftest::{DiffTester, ExecEngine, MatrixScratch};
 use llm4fp_fpir::{InputSet, Program};
 use llm4fp_generator::{InputGenerator, VarityGenerator};
-use llm4fp_orchestrator::Orchestrator;
+use llm4fp_orchestrator::wire::{read_frame, write_frame, ShardJobResult, WireReply};
+use llm4fp_orchestrator::{plan_epoch_segments, plan_shards, Orchestrator, ShardRunner};
 use llm4fp_telemetry::TelemetrySpec;
 
 const CORPUS: usize = 24;
@@ -224,11 +229,67 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_codec(c: &mut Criterion) {
+    let mut group = c.benchmark_group("codec");
+    group.sample_size(20);
+    // The ROADMAP campaign (LLM4FP, 400 programs, E=4) as one shard.
+    let config =
+        CampaignConfig::new(ApproachKind::Llm4Fp).with_budget(400).with_seed(42).with_threads(1);
+    let spec = plan_shards(&config, 1)[0];
+    let segments = plan_epoch_segments(spec.budget, 4);
+    let mut runner = ShardRunner::new(&config, spec, None);
+    let mut pool = SuccessfulSet::new();
+    for &segment in &segments[..3] {
+        pool.merge_sources(&runner.run_segment(segment, |_| {}));
+        runner.inject(pool.sources());
+    }
+    let checkpoint = runner.checkpoint();
+    let delta = runner.run_segment(segments[3], |_| {});
+    let result = WireReply::Result(Box::new(ShardJobResult {
+        index: spec.index,
+        delta,
+        checkpoint: None,
+        output: Some(runner.finish()),
+        telemetry: None,
+        lease: 1,
+    }));
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &result).expect("result frame encodes");
+    let checkpoint_text = serde_json::to_string(&checkpoint).expect("checkpoint encodes");
+
+    group.bench_function("result_frame_400_encode", |b| {
+        b.iter(|| {
+            let mut out = Vec::with_capacity(frame.len());
+            write_frame(&mut out, black_box(&result)).expect("result frame encodes");
+            black_box(out)
+        })
+    });
+    group.bench_function("result_frame_400_decode", |b| {
+        b.iter(|| {
+            black_box(
+                read_frame::<WireReply, _>(&mut black_box(frame.as_slice())).expect("decodes"),
+            )
+        })
+    });
+    group.bench_function("checkpoint_late_epoch_encode", |b| {
+        b.iter(|| black_box(serde_json::to_string(black_box(&checkpoint)).expect("encodes")))
+    });
+    group.bench_function("checkpoint_late_epoch_decode", |b| {
+        b.iter(|| {
+            let back: RunnerCheckpoint =
+                serde_json::from_str(black_box(&checkpoint_text)).expect("decodes");
+            black_box(back)
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_interp_vs_vm,
     bench_difftest_matrix,
     bench_seal_matrix,
-    bench_telemetry_overhead
+    bench_telemetry_overhead,
+    bench_codec
 );
 criterion_main!(benches);

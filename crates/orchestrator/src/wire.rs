@@ -412,6 +412,18 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_frames_are_invalid_data_not_stack_overflows() {
+        // 10 KB of `[`: the parser recursed once per level and overflowed
+        // a spawned thread's stack, aborting the whole process.
+        let payload = "[".repeat(10_000);
+        let frame = format!("{:010}\n{payload}", payload.len()).into_bytes();
+        let reader = std::thread::spawn(move || {
+            read_frame::<WireRequest, _>(&mut frame.as_slice()).map_err(|e| e.kind())
+        });
+        assert_eq!(reader.join().expect("reader thread survives"), Err(io::ErrorKind::InvalidData));
+    }
+
+    #[test]
     fn oversized_length_headers_are_rejected_before_allocating() {
         // A corrupt header demanding ~9.3 GiB must fail fast as a typed
         // bad-frame error, not attempt the allocation.
